@@ -258,15 +258,33 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
             test_ds = load_partial_csv(
                 cfg["dataset.test_csv"], num_classes=train_ds.num_classes
             )
+            if test_ds.true_labels is None:
+                raise ConfigError("the test set has no true labels to score against")
     limit = cfg["dataset.limit"]
     if limit > 0 and len(train_ds) > limit:
         train_ds = take(train_ds, np.arange(limit))
     return train_ds, test_ds
 
 
-def _prepare_run(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | None]:
+def _shared_source(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None] | None:
+    """The source every run of one command reads, or None for a gaussian source.
+
+    CSV and IDX sources do not depend on the run seed, so a command reads
+    them once and hands the datasets to each run; gaussian data is drawn
+    per seed inside the run.
+    """
+    if cfg["dataset.kind"] == "gaussian":
+        return None
+    return _load_source(cfg, seed_shift=0)
+
+
+def _prepare_run(
+    cfg: ExperimentConfig, seed: int, source: tuple[Dataset, Dataset | None] | None
+) -> tuple[Dataset, Dataset | None]:
     """Partially labeled train set plus optional labeled test set for one seed."""
-    train_ds, test_ds = _load_source(cfg, seed_shift=seed)
+    if source is None:
+        source = _load_source(cfg, seed_shift=seed)
+    train_ds, test_ds = source
     if train_ds.partial_masks is None:
         model = _generation_model(cfg, train_ds.num_classes)
         if model is None:
@@ -284,8 +302,6 @@ def _prepare_run(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
             (train_ds,) = standardize(train_ds)
         else:
             train_ds, test_ds = standardize(train_ds, test_ds)
-    if test_ds is not None and test_ds.true_labels is None:
-        raise ConfigError("the test set has no true labels to score against")
     return train_ds, test_ds
 
 
@@ -334,12 +350,17 @@ class RunOutcome:
 
 
 def _execute_run(values: dict, alpha: float, beta: float, seed: int, run_dir: str,
-                 fingerprint: str, tag: str) -> RunOutcome:
-    """One deterministic training run; writes its metrics CSV and checkpoint."""
+                 fingerprint: str, tag: str,
+                 source: tuple[Dataset, Dataset | None] | None) -> RunOutcome:
+    """One deterministic training run; writes its metrics CSV and checkpoint.
+
+    `source` is the command's shared (train, test) pair, or None to load
+    the source for this seed.
+    """
     cfg = ExperimentConfig({})
     cfg.values = values
     started = time.perf_counter()
-    train_ds, test_ds = _prepare_run(cfg, seed)
+    train_ds, test_ds = _prepare_run(cfg, seed, source)
     result = train(
         train_ds,
         _lw_config(cfg, alpha, beta),
@@ -434,10 +455,11 @@ def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Train once per seed; metrics CSV and checkpoint per run, one manifest."""
     fp = cfg.fingerprint()
     run_dir = os.path.join(cfg["output.dir"], fp)
+    source = _shared_source(cfg)
     os.makedirs(run_dir, exist_ok=True)
     alpha, beta = cfg["loss.alpha"], cfg["loss.beta"]
     specs = [
-        (cfg.values, alpha, beta, seed, run_dir, fp, "") for seed in cfg["seeds"]
+        (cfg.values, alpha, beta, seed, run_dir, fp, "", source) for seed in cfg["seeds"]
     ]
     try:
         outcomes = _run_all(specs)
@@ -494,12 +516,16 @@ def cmd_sweep(
         extra={"sweep": "ablation" if ablation else ",".join(repr(b) for b in betas)}
     )
     run_dir = os.path.join(cfg["output.dir"], fp)
+    source = _shared_source(cfg)
+    has_test = cfg["gaussian.test_n"] > 0 if source is None else source[1] is not None
+    if not has_test:
+        raise ConfigError("sweep needs a test set to summarize accuracy")
     specs = []
     for label, alpha, beta in variants:
         variant_dir = os.path.join(run_dir, label)
         os.makedirs(variant_dir, exist_ok=True)
         for seed in cfg["seeds"]:
-            specs.append((cfg.values, alpha, beta, seed, variant_dir, fp, ""))
+            specs.append((cfg.values, alpha, beta, seed, variant_dir, fp, "", source))
     try:
         outcomes = _run_all(specs)
     except TrainingDiverged as exc:
@@ -525,10 +551,7 @@ def cmd_sweep(
         fh.write(f"# fingerprint={fp}\n")
         fh.write("variant,alpha,beta,mean_test_accuracy,std_test_accuracy,seeds\n")
         for label, alpha, beta in variants:
-            outs = by_variant[(alpha, beta)]
-            accs = [o.test_accuracy for o in outs]
-            if any(a is None for a in accs):
-                raise ConfigError("sweep needs a test set to summarize accuracy")
+            accs = [o.test_accuracy for o in by_variant[(alpha, beta)]]
             mean = float(np.mean(accs))
             std = float(np.std(accs))
             fh.write(f"{label},{alpha!r},{beta!r},{mean!r},{std!r},{len(accs)}\n")

@@ -4,17 +4,19 @@ Formats:
 
 - IDX image/label pairs (big-endian magics 0x00000803 / 0x00000801); pixel
   bytes are scaled to [0, 1] and images flattened to rows * cols features.
-- Partial-label CSV with header ``f0,...,f{d-1},candidates[,true_label]``,
-  where the candidates cell holds zero-based class indices joined by ``|``.
-  Floats are written with 17 significant digits so a save/load round trip
-  reproduces every value bit for bit.
+- Partial-label CSV with header ``f0,...,f{d-1},candidates[,true_label]``
+  (d >= 1), where the candidates cell holds zero-based class indices joined
+  by ``|``. Fields are unquoted. Records end in ``\r\n``; ``\n`` is also
+  accepted on read, and blank lines are skipped. Floats are written as
+  ``%.17g`` (17 significant digits) so a save/load round trip reproduces
+  every value bit for bit. Errors in a record name ``path:line``, counting
+  physical lines from 1 at the header.
 
 Class indices are zero-based everywhere, in files and in memory.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -159,58 +161,87 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
         raise ValueError("dataset has no candidate masks to save")
     d = dataset.num_features
     header = [f"f{j}" for j in range(d)] + ["candidates"]
-    if dataset.true_labels is not None:
+    labels = dataset.true_labels
+    if labels is not None:
         header.append("true_label")
+        labels = labels.astype(np.int64).tolist()
+    # "%.17g" formats every finite float64 exactly as format(v, ".17g").
+    features_format = "%.17g," * d
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [format(v, ".17g") for v in dataset.features[i]]
-            row.append("|".join(str(z) for z in np.flatnonzero(dataset.partial_masks[i])))
-            if dataset.true_labels is not None:
-                row.append(str(int(dataset.true_labels[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for i, (row, mask) in enumerate(zip(dataset.features, dataset.partial_masks)):
+            line = features_format % tuple(row.tolist())
+            line += "|".join(map(str, np.flatnonzero(mask).tolist()))
+            if labels is not None:
+                line += f",{labels[i]}"
+            fh.write(line + "\r\n")
+
+
+def _parse_int(text: str, what: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad {what} {text!r}") from None
 
 
 def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
-    """Read a partial-label CSV; class count is inferred unless given."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    """Read a partial-label CSV; class count is inferred unless given.
+
+    One streaming pass checks each record's column count and parses its
+    candidates and label; the feature cells of all records are then parsed
+    by a single ``np.loadtxt`` call.
+    """
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
             raise ValueError(f"{path}: empty file")
+        header = first.rstrip("\n").split(",")
         if "candidates" not in header:
             raise ValueError(f"{path}: header lacks a 'candidates' column")
-        cand_col = header.index("candidates")
+        d = header.index("candidates")
         has_label = "true_label" in header
-        d = cand_col
-        if header[:d] != [f"f{j}" for j in range(d)]:
-            raise ValueError(f"{path}: feature columns must be f0..f{d - 1}")
-        feats, cand_lists, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        expected = [f"f{j}" for j in range(d)] + ["candidates"]
+        if has_label:
+            expected.append("true_label")
+        if d == 0 or header != expected:
+            raise ValueError(
+                f"{path}: header must be f0,...,f{{d-1}},candidates[,true_label]"
+            )
+        tail = 2 if has_label else 1
+        prefixes, linenos, labels, cand_rows, cand_cols = [], [], [], [], []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
                 continue
-            try:
-                feats.append([float(v) for v in row[:d]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature") from None
-            cell = row[cand_col].strip()
+            where = f"{path}:{lineno}"
+            cells = line.rsplit(",", tail)
+            if len(cells) <= tail or cells[0].count(",") != d - 1:
+                raise ValueError(
+                    f"{where}: expected {d + tail} columns, got {line.count(',') + 1}"
+                )
+            if not cells[0]:
+                raise ValueError(f"{where}: non-numeric feature")
+            cell = cells[1].strip()
             if not cell:
-                raise ValueError(f"{path}:{lineno}: empty candidate cell")
-            cands = sorted({int(tok) for tok in cell.split("|")})
-            if cands[0] < 0:
-                raise ValueError(f"{path}:{lineno}: negative class index")
-            cand_lists.append(cands)
+                raise ValueError(f"{where}: empty candidate cell")
+            cands = {_parse_int(tok, "candidate", where) for tok in cell.split("|")}
+            if min(cands) < 0:
+                raise ValueError(f"{where}: negative class index")
             if has_label:
-                y = int(row[cand_col + 1])
+                y = _parse_int(cells[2], "true_label", where)
                 if y not in cands:
                     raise ValueError(
-                        f"{path}:{lineno}: true label {y} outside candidates {cands}"
+                        f"{where}: true label {y} outside candidates {sorted(cands)}"
                     )
                 labels.append(y)
-    if not feats:
+            cand_rows.extend([len(prefixes)] * len(cands))
+            cand_cols.extend(cands)
+            prefixes.append(cells[0])
+            linenos.append(lineno)
+    if not prefixes:
         raise ValueError(f"{path}: no data rows")
-    largest = max(c[-1] for c in cand_lists)
+    features = _parse_features(prefixes, linenos, path)
+    largest = max(cand_cols)
     inferred = largest + 1
     if num_classes is None:
         num_classes = max(inferred, 2)
@@ -218,15 +249,37 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
         raise ValueError(
             f"{path}: num_classes={num_classes} but saw class index {largest}"
         )
-    masks = np.zeros((len(feats), num_classes), dtype=bool)
-    for i, cands in enumerate(cand_lists):
-        masks[i, cands] = True
+    masks = np.zeros((len(features), num_classes), dtype=bool)
+    masks[cand_rows, cand_cols] = True
     return Dataset(
-        features=np.asarray(feats, dtype=np.float64),
+        features=features,
         num_classes=num_classes,
         true_labels=np.asarray(labels, dtype=np.int64) if has_label else None,
         partial_masks=masks,
     )
+
+
+def _parse_features(prefixes: list[str], linenos: list[int], path: str) -> np.ndarray:
+    """Feature matrix from comma-joined rows; errors cite the file line."""
+
+    def parse(rows):
+        return np.loadtxt(rows, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+
+    try:
+        features = parse(prefixes)
+    except ValueError:
+        # Re-parse row by row to find the first bad one.
+        for prefix, lineno in zip(prefixes, linenos):
+            try:
+                parse([prefix])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric feature") from None
+        raise
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: non-finite feature")
+    return features
 
 
 def simplex_vertices(num_classes: int, dim: int) -> np.ndarray:

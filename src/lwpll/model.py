@@ -368,12 +368,16 @@ def load_checkpoint(path: str) -> NetworkParams:
         blob = fh.read()
     if blob[:4] != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     offset = 12
     shapes = []
     for _ in range(count):
+        if offset + 9 > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint")
         out_w, in_w, code = struct.unpack_from("<IIB", blob, offset)
         offset += 9
         if code not in _ACTIVATION_NAMES:

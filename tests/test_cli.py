@@ -306,5 +306,85 @@ def test_eval_architecture_mismatch(tmp_path):
     assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(wide)]) == 2
 
 
+def test_eval_rejects_malformed_inputs_with_exit_2(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path,
+        BASE_CONFIG.replace("seeds = 0,1", "seeds = 0").replace("trainer.epochs = 2", "trainer.epochs = 1"),
+        **{"output.dir": tmp_path / "out"},
+    )
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    checkpoint = next((tmp_path / "out").iterdir()) / "checkpoint_seed0.bin"
+    bad_rows = [
+        "f0,f1,candidates\n1.0,0\n",
+        "f0,f1,candidates,true_label\n1.0,2.0,0|x,0\n",
+        "f0,f1,candidates,true_label\n1.0,2.0,0|1,one\n",
+        "f0,f1,candidates,true_label\n1.0,2.0,0|1,\n",
+        "f0,f1,candidates,true_label\n1.0,2.0,3.0,0,0\n",
+    ]
+    csv_path = tmp_path / "bad.csv"
+    for text in bad_rows:
+        csv_path.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}:2: " in err, text
+        assert "Traceback" not in err
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("f0,f1,candidates,true_label\n1.0,2.0,0,0\n")
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(b"LWNN\x01")
+    assert main(["eval", "--checkpoint", str(truncated), "--csv", str(good_csv)]) == 2
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        BASE_CONFIG.replace("gaussian.test_n = 80", "gaussian.test_n = 0"),
+        **{"output.dir": tmp_path / "out"},
+    )
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 2
+    assert not list(tmp_path.glob("out/**/metrics_*.csv"))
+    assert not list(tmp_path.glob("out/**/summary.csv"))
+    (tmp_path / "train.csv").write_text("f0,candidates,true_label\n1.0,0,0\n2.0,0|1,1\n")
+    (tmp_path / "unlabeled.csv").write_text("f0,candidates\n1.0,0\n2.0,1\n")
+    unlabeled_test = (
+        f"dataset.kind = csv\ndataset.csv = {tmp_path / 'train.csv'}\n"
+        f"dataset.test_csv = {tmp_path / 'unlabeled.csv'}\n"
+    )
+    cfg_path = write_config(tmp_path, unlabeled_test, **{"output.dir": tmp_path / "csv"})
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+    assert not (tmp_path / "csv").exists()
+
+
+def test_csv_source_is_read_once_per_command(tmp_path, monkeypatch):
+    gen_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "gen"})
+    assert main(["generate", "--config", gen_path, "--quiet"]) == 0
+    gen_dir = next((tmp_path / "gen").iterdir())
+    loaded = []
+
+    def counting_load(path, num_classes=None):
+        loaded.append(path)
+        return load_partial_csv(path, num_classes=num_classes)
+
+    monkeypatch.setattr("lwpll.cli.load_partial_csv", counting_load)
+    csv_config = (
+        f"dataset.kind = csv\ndataset.csv = {gen_dir / 'corpus.csv'}\n"
+        f"dataset.test_csv = {gen_dir / 'test.csv'}\n"
+        "trainer.epochs = 2\nseeds = 0,1\n"
+    )
+    cfg_path = write_config(tmp_path, csv_config, **{"output.dir": tmp_path / "serial"})
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
+    assert sorted(os.path.basename(p) for p in loaded) == ["corpus.csv", "test.csv"]
+    monkeypatch.setenv("LW_THREADS", "2")
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1",
+                 "--out", str(tmp_path / "par")]) == 0
+    serial_dir = next((tmp_path / "serial").iterdir())
+    par_dir = next((tmp_path / "par").iterdir())
+    for rel in ("summary.csv", "beta0/metrics_seed1.csv", "beta1/checkpoint_seed0.bin"):
+        assert (serial_dir / rel).read_bytes() == (par_dir / rel).read_bytes()
+
+
 def test_unknown_config_path_is_reported(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 2

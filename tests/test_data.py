@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lwpll import (
     Dataset,
@@ -177,6 +180,92 @@ def test_csv_errors_cite_line_numbers(tmp_path):
     path.write_text("f0,wrong_header\n1.0,0\n")
     with pytest.raises(ValueError):
         load_partial_csv(str(path))
+
+
+def test_csv_malformed_rows_cite_line_numbers(tmp_path):
+    cases = [
+        ("f0,f1,candidates\n1.0,0\n", "columns"),  # short row
+        ("f0,f1,candidates\n1.0,2.0,3.0,0\n", "columns"),  # too many columns
+        ("f0,candidates\n1.0,0|x\n", "candidate"),
+        ("f0,candidates,true_label\n1.0,0|1,one\n", "true_label"),
+        ("f0,candidates,true_label\n1.0,0|1,\n", "true_label"),  # missing label
+        ("f0,candidates,true_label\n1.0,0|1\n", "columns"),
+        ("f0,candidates\n,0\n", "feature"),
+        ("f0,f1,candidates\n1.0,abc,0\n", "feature"),
+        ("f0,candidates\nnan,0\n", "finite"),
+    ]
+    for text, needle in cases:
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_partial_csv(str(path))
+        assert str(info.value).startswith(f"{path}:2: "), text
+        assert needle in str(info.value), text
+
+
+def test_csv_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "gappy.csv"
+    path.write_text("f0,candidates\r\n\r\n1.0,0\r\n\n2.0,1\n\nabc,0\n")
+    with pytest.raises(ValueError) as info:
+        load_partial_csv(str(path))
+    assert str(info.value).startswith(f"{path}:7: ")
+    path.write_text("f0,candidates\r\n\r\n1.0,0\r\n\n2.0,1\n\n")
+    ds = load_partial_csv(str(path))
+    assert np.array_equal(ds.features, [[1.0], [2.0]])
+    assert np.array_equal(ds.partial_masks, [[True, False], [False, True]])
+
+
+def test_csv_golden_bytes(tmp_path):
+    features = np.array([[-0.0, 5e-324], [1e300, 0.1]])
+    masks = np.array([[True, False, True], [False, True, False]])
+    path = tmp_path / "golden.csv"
+    save_partial_csv(
+        Dataset(features, 3, true_labels=np.array([0, 1]), partial_masks=masks), str(path)
+    )
+    assert path.read_bytes() == (
+        b"f0,f1,candidates,true_label\r\n"
+        b"-0,4.9406564584124654e-324,0|2,0\r\n"
+        b"1.0000000000000001e+300,0.10000000000000001,1,1\r\n"
+    )
+    save_partial_csv(Dataset(features, 3, partial_masks=masks), str(path))
+    assert path.read_bytes() == (
+        b"f0,f1,candidates\r\n"
+        b"-0,4.9406564584124654e-324,0|2\r\n"
+        b"1.0000000000000001e+300,0.10000000000000001,1\r\n"
+    )
+
+
+@st.composite
+def partial_datasets(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(hnp.arrays(np.float64, (n, d), elements=finite))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    masks = draw(hnp.arrays(np.bool_, (n, k)))
+    masks[np.arange(n), labels] = True
+    with_labels = draw(st.booleans())
+    return Dataset(
+        features, k, true_labels=labels if with_labels else None, partial_masks=masks
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_datasets())
+def test_csv_round_trip_property(ds):
+    import tempfile, pathlib
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "prop.csv")
+        save_partial_csv(ds, path)
+        back = load_partial_csv(path, num_classes=ds.num_classes)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(back.partial_masks, ds.partial_masks)
+    if ds.true_labels is None:
+        assert back.true_labels is None
+    else:
+        assert np.array_equal(back.true_labels, ds.true_labels)
 
 
 def test_csv_num_classes_override(tmp_path):

@@ -382,3 +382,16 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
     long.write_bytes(blob + b"\x00\x00")
     with pytest.raises(ValueError):
         load_checkpoint(long)
+
+
+def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
+    rng = make_rng(163)
+    blob_path = tmp_path / "net.bin"
+    save_checkpoint(init_network([3, 4, 2], rng), blob_path)
+    blob = blob_path.read_bytes()
+    # Cut inside the 12-byte header, then inside the 9-byte layer records.
+    for cut in (5, 11, 12, 15, 20, 29):
+        path = tmp_path / f"cut{cut}.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
