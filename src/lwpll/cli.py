@@ -76,6 +76,9 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
     if not seeds:
         raise ValueError("seeds list is empty")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"duplicate seed {seed}")
     return seeds
 
 
@@ -392,8 +395,19 @@ def _execute_run_spec(spec) -> RunOutcome:
     return _execute_run(*spec)
 
 
-def _run_all(specs: list) -> list[RunOutcome]:
-    workers = int(os.environ.get("LW_THREADS", "1"))
+def _worker_count() -> int:
+    """Worker processes allowed by LW_THREADS (default 1); must be >= 1."""
+    text = os.environ.get("LW_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"LW_THREADS must be an integer >= 1, got {text!r}")
+    return workers
+
+
+def _run_all(specs: list, workers: int) -> list[RunOutcome]:
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_execute_run_spec, specs))
@@ -453,6 +467,7 @@ def cmd_generate(cfg: ExperimentConfig, quiet: bool = False) -> int:
 
 def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Train once per seed; metrics CSV and checkpoint per run, one manifest."""
+    workers = _worker_count()
     fp = cfg.fingerprint()
     run_dir = os.path.join(cfg["output.dir"], fp)
     source = _shared_source(cfg)
@@ -462,7 +477,7 @@ def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
         (cfg.values, alpha, beta, seed, run_dir, fp, "", source) for seed in cfg["seeds"]
     ]
     try:
-        outcomes = _run_all(specs)
+        outcomes = _run_all(specs, workers)
     except TrainingDiverged as exc:
         print(f"error: run {fp} diverged: {exc}", file=sys.stderr)
         return 1
@@ -510,6 +525,7 @@ def cmd_sweep(
     quiet: bool = False,
 ) -> int:
     """Paired runs across loss variants with a mean/std summary table."""
+    workers = _worker_count()
     betas = tuple(betas) if betas is not None else _DEFAULT_SWEEP_BETAS
     variants = _sweep_variants(betas, ablation)
     fp = cfg.fingerprint(
@@ -527,7 +543,7 @@ def cmd_sweep(
         for seed in cfg["seeds"]:
             specs.append((cfg.values, alpha, beta, seed, variant_dir, fp, "", source))
     try:
-        outcomes = _run_all(specs)
+        outcomes = _run_all(specs, workers)
     except TrainingDiverged as exc:
         print(f"error: sweep {fp} diverged: {exc}", file=sys.stderr)
         return 1
@@ -593,11 +609,21 @@ def cmd_verify(
     inject_beta_error: bool = False,
     quiet: bool = False,
 ) -> int:
-    """Run the full certification suite; exit 0 only if everything holds."""
-    if max(k_values) > consistency.MAX_ENUMERATION_CLASSES:
+    """Run the full certification suite; exit 0 only if everything holds.
+
+    Arguments are checked before any check runs: --k-list must name at
+    least one K, each in 1..MAX_ENUMERATION_CLASSES, and --trials must be
+    >= 0 (0 is allowed and warns that the certification is vacuous).
+    """
+    if not k_values:
+        raise ConfigError("--k-list must name at least one K")
+    if not 1 <= min(k_values) <= max(k_values) <= consistency.MAX_ENUMERATION_CLASSES:
         raise ConfigError(
-            f"K values must be <= {consistency.MAX_ENUMERATION_CLASSES}"
+            f"--k-list values must lie in 1..{consistency.MAX_ENUMERATION_CLASSES}, "
+            f"got {','.join(str(k) for k in k_values)}"
         )
+    if trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {trials}")
     if trials == 0:
         print("warning: trials=0, certification is vacuous", file=sys.stderr)
         print(json.dumps({"pass": True, "max_discrepancy": 0.0, "instances": 0}))

@@ -10,6 +10,14 @@ tautology. Companion checks certify the set-probability normalization, the
 uniform-rejection special value 1/(2^(K-1) - 1), the coefficient-ordering
 property behind classifier consistency, and the collapse of the beta = 1
 loss to a function of the true-label score alone.
+
+Each instance is checked in one batched pass: the candidate sets of every
+label with positive posterior mass are stacked into one set-probability and
+one loss evaluation, the closed form is evaluated for all those labels in
+one call, and the coefficient-ordering instances are checked one K at a
+time. The instances are drawn exactly as one-at-a-time checking would draw
+them, and every reported figure is bit-identical to it: the per-row
+arithmetic and reduction order are unchanged, and `math.fsum` is exact.
 """
 
 from __future__ import annotations
@@ -58,11 +66,12 @@ class ConsistencyReport:
 
 
 def validate_posterior(p) -> np.ndarray:
-    """Check a class-posterior vector: nonnegative, sums to 1 within 1e-12."""
+    """Check a class-posterior vector, or one per row: nonnegative, each
+    summing to 1 within 1e-12."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("posterior must be a vector")
-    if (p < 0.0).any() or abs(p.sum() - 1.0) > 1e-12:
+    if p.ndim not in (1, 2):
+        raise ValueError("posterior must be a vector or a stack of vectors")
+    if (p < 0.0).any() or (np.abs(p.sum(axis=-1) - 1.0) > 1e-12).any():
         raise ValueError("posterior entries must be >= 0 and sum to 1")
     return p
 
@@ -90,13 +99,25 @@ def enumerate_subsets(num_classes: int, containing: int | None = None) -> np.nda
     return subsets[subsets[:, int(containing)]]
 
 
+@lru_cache(maxsize=None)
+def _subsets_by_label(num_classes: int) -> np.ndarray:
+    """(K, 2^(K-1), K) stack whose block y is enumerate_subsets(K, containing=y)."""
+    out = np.stack(
+        [enumerate_subsets(num_classes, containing=y) for y in range(num_classes)]
+    )
+    out.setflags(write=False)
+    return out
+
+
 def partial_risk_bruteforce(
     scores, posterior, model: GenerationModel, weights, cfg: LWConfig
 ) -> float:
     """Exact partial risk by enumerating every candidate set per true label.
 
     Computes sum_y p_y sum_{S with y in S} P(S | y) * lw_loss(g, S, w, cfg),
-    accumulating the 2^(K-1) terms per label with exact float summation.
+    accumulating the terms with exact float summation. The 2^(K-1) sets of
+    every label with p_y != 0 go through one set-probability and one loss
+    evaluation.
     """
     p = validate_posterior(posterior)
     k = model.num_classes
@@ -104,20 +125,18 @@ def partial_risk_bruteforce(
         raise ValueError(f"posterior length {p.shape[0]} does not match K={k}")
     g = np.asarray(scores, dtype=float)
     w = np.asarray(weights, dtype=float)
-    terms: list[float] = []
-    for y in range(k):
-        if p[y] == 0.0:
-            continue
-        subsets = enumerate_subsets(k, containing=y)
-        probs = model.subset_probabilities(y, subsets)
-        losses = lw_loss_batch(
-            np.broadcast_to(g, subsets.shape),
-            subsets,
-            np.broadcast_to(w, subsets.shape),
-            cfg,
-        )
-        terms.extend((p[y] * probs * losses).tolist())
-    return math.fsum(terms)
+    labels = np.flatnonzero(p)
+    blocks = _subsets_by_label(k)
+    subsets = blocks[labels].reshape(-1, k)
+    row_labels = np.repeat(labels, blocks.shape[1])
+    probs = model.subset_probabilities(row_labels, subsets)
+    losses = lw_loss_batch(
+        np.broadcast_to(g, subsets.shape),
+        subsets,
+        np.broadcast_to(w, subsets.shape),
+        cfg,
+    )
+    return math.fsum((p[row_labels] * probs * losses).tolist())
 
 
 def supervised_risk_direct(
@@ -137,11 +156,11 @@ def supervised_risk_direct(
     k = model.num_classes
     if p.shape != (k,):
         raise ValueError(f"posterior length {p.shape[0]} does not match K={k}")
+    labels = np.flatnonzero(p)
+    losses = derived_supervised_loss(labels, scores, weights, model.q[labels], cfg)
     total = 0.0
-    for y in range(k):
-        if p[y] == 0.0:
-            continue
-        total += p[y] * derived_supervised_loss(y, scores, weights, model.q[y], cfg)
+    for mass, loss in zip(p[labels].tolist(), losses.tolist()):
+        total += mass * loss
     return total
 
 
@@ -160,7 +179,7 @@ def lemma1_check(model: GenerationModel, true_label: int) -> ConsistencyReport:
     )
 
 
-def theorem2_coefficient_check(posterior, weights, q_row, beta: float) -> bool:
+def theorem2_coefficient_check(posterior, weights, q_row, beta) -> bool | np.ndarray:
     """Does the inner-risk coefficient c_y = w_y q_y (beta p_y - (beta - 1))
     peak at the certain true label?
 
@@ -168,25 +187,38 @@ def theorem2_coefficient_check(posterior, weights, q_row, beta: float) -> bool:
     y* with w maximal and positive there, q[y*] = 1, every other inclusion
     probability below 1, and beta > 0. Anything else raises
     CheckNotApplicable rather than passing judgement.
+
+    Length-K vectors and one beta give a bool. (n, K) arrays with n betas
+    (or one) check n instances in one pass and give n bools; every row must
+    meet the preconditions. One instance is the one-row case of that pass.
     """
     p = validate_posterior(posterior)
     w = np.asarray(weights, dtype=float)
     q = np.asarray(q_row, dtype=float)
-    if not (p.shape == w.shape == q.shape) or p.ndim != 1:
+    single = p.ndim == 1
+    if single:
+        p, w, q = p[None], w[None], q[None]
+    if not (p.shape == w.shape == q.shape) or p.ndim != 2:
         raise ValueError("posterior, weights, q_row must share one length")
+    b = np.broadcast_to(np.asarray(beta, dtype=float), p.shape[:1])[:, None]
     one_hot = p == 1.0
-    if one_hot.sum() != 1:
+    if (one_hot.sum(axis=1) != 1).any():
         raise CheckNotApplicable("posterior must be one-hot")
-    y_star = int(np.flatnonzero(one_hot)[0])
-    if (w < 0.0).any() or w[y_star] <= 0.0 or np.argmax(w) != y_star:
+    y_star = one_hot.argmax(axis=1)
+    rows = np.arange(p.shape[0])
+    if (
+        (w < 0.0).any()
+        or (w[rows, y_star] <= 0.0).any()
+        or (w.argmax(axis=1) != y_star).any()
+    ):
         raise CheckNotApplicable("weights must be maximal and positive at y*")
-    others = np.arange(p.shape[0]) != y_star
-    if q[y_star] != 1.0 or ((q[others] < 0.0) | (q[others] >= 1.0)).any():
+    if (q[rows, y_star] != 1.0).any() or (((q < 0.0) | (q >= 1.0)) & ~one_hot).any():
         raise CheckNotApplicable("need q[y*] = 1 and q_z in [0, 1) elsewhere")
-    if not beta > 0.0:
+    if not (b > 0.0).all():
         raise CheckNotApplicable("beta must be positive")
-    c = w * q * (beta * p - (beta - 1.0))
-    return int(np.argmax(c)) == y_star
+    c = w * q * (b * p - (b - 1.0))
+    peaked = c.argmax(axis=1) == y_star
+    return bool(peaked[0]) if single else peaked
 
 
 def beta1_collapse_check(
@@ -331,31 +363,50 @@ def certify_coefficient_ordering(
 ) -> ConsistencyReport:
     """Randomized coefficient-ordering property under its preconditions.
 
-    Failures count as discrepancy 1; a clean run reports 0.
+    Instance i draws its label, weights, rates and beta in turn, into row
+    i // len(k_values) of the arrays for K = k_values[i % len(k_values)];
+    each group is then checked in one pass. Failures count as discrepancy
+    1; a clean run reports 0, and the worst case names the first failure.
     """
     rng = make_rng(seed)
-    failures = 0
-    worst = (0.0, "all instances ordered correctly")
+    period = len(k_values)
+    groups = []
+    for j, k in enumerate(k_values[: max(instances, 0)]):
+        n = len(range(j, instances, period))
+        y_star = np.empty(n, dtype=np.intp)
+        groups.append((k, y_star, np.empty((n, k)), np.empty((n, k)), np.empty(n)))
     for i in range(instances):
-        k = k_values[i % len(k_values)]
-        y_star = int(rng.integers(k))
-        w = rng.random(k) + 1e-9
-        top = int(np.argmax(w))
-        w[y_star], w[top] = w[top], w[y_star]
-        q = rng.random(k) * 0.98
-        q[y_star] = 1.0
-        p = np.zeros(k)
-        p[y_star] = 1.0
-        beta = 10.0 * (1.0 - rng.random())
-        if not theorem2_coefficient_check(p, w, q, beta):
-            failures += 1
-            if worst[0] == 0.0:
-                worst = (
-                    1.0,
-                    f"instance {i}: K={k}, y*={y_star}, beta={beta!r}",
+        k, y_star, w, q, u = groups[i % period]
+        row = i // period
+        y_star[row] = rng.integers(k)
+        rng.random(out=w[row])
+        rng.random(out=q[row])
+        u[row] = rng.random()
+    failures = 0
+    first = None
+    for j, (k, y_star, w, q, u) in enumerate(groups):
+        rows = np.arange(y_star.shape[0])
+        w += 1e-9
+        top = w.argmax(axis=1)
+        w[rows, y_star], w[rows, top] = w[rows, top], w[rows, y_star]
+        q *= 0.98
+        q[rows, y_star] = 1.0
+        p = np.zeros_like(q)
+        p[rows, y_star] = 1.0
+        beta = 10.0 * (1.0 - u)
+        failed = np.flatnonzero(~theorem2_coefficient_check(p, w, q, beta))
+        failures += failed.shape[0]
+        if failed.shape[0]:
+            r = failed[0]
+            index = j + period * int(r)
+            if first is None or index < first[0]:
+                first = (
+                    index,
+                    f"instance {index}: K={k}, y*={int(y_star[r])}, "
+                    f"beta={float(beta[r])!r}",
                 )
     return ConsistencyReport(
         max_discrepancy=float(failures > 0),
         instances=instances,
-        worst_case=worst[1],
+        worst_case="all instances ordered correctly" if first is None else first[1],
     )

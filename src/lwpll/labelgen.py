@@ -35,7 +35,7 @@ class GenerationModel:
             raise ValueError(f"q must be square, got shape {q.shape}")
         if q.shape[0] < 1:
             raise ValueError("need at least 1 class")
-        if not np.allclose(np.diag(q), 1.0, rtol=0.0, atol=0.0):
+        if not (np.diag(q) == 1.0).all():
             raise ValueError("diagonal entries of q must be exactly 1")
         off = ~np.eye(q.shape[0], dtype=bool)
         if ((q[off] < 0.0) | (q[off] >= 1.0)).any():
@@ -47,33 +47,43 @@ class GenerationModel:
         self.num_classes = q.shape[0]
         self.reject_full = bool(reject_full)
 
-    def _full_set_mass(self, y: int) -> float:
-        """P(all other classes enter the set | true label y)."""
-        off = np.arange(self.num_classes) != y
-        return float(np.prod(self.q[y, off]))
+    def _full_set_mass(self, y) -> np.ndarray:
+        """P(all other classes enter the set | true label y), per label in y."""
+        k = self.num_classes
+        off = self.q[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+        return off.prod(axis=1)[y]
 
-    def subset_probabilities(self, y: int, subsets) -> np.ndarray:
-        """P(candidate set = row | true label y) for a stack of boolean rows.
+    def subset_probabilities(self, y, subsets) -> np.ndarray:
+        """P(candidate set = row | true label) for a stack of boolean rows.
 
-        Rows not containing y get probability 0, as does the all-classes row
-        under reject_full (whose mass is redistributed over the rest).
+        y is one label for every row or a vector with one label per row.
+        Rows not containing their label get probability 0, as does the
+        all-classes row under reject_full (whose mass is redistributed over
+        the rest of that label's sets).
         """
         masks = np.asarray(subsets, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.num_classes:
             raise ValueError(
                 f"subsets must be (m, {self.num_classes}) boolean, got {masks.shape}"
             )
-        y = int(y)
-        if not 0 <= y < self.num_classes:
-            raise ValueError(f"label {y} out of range")
-        row = self.q[y]
-        factors = np.where(masks, row, 1.0 - row)
-        factors[:, y] = 1.0
-        p = factors.prod(axis=1)
-        p[~masks[:, y]] = 0.0
+        labels = np.asarray(y)
+        if labels.ndim == 0:
+            labels = int(labels)
+            if not 0 <= labels < self.num_classes:
+                raise ValueError(f"label {labels} out of range")
+        elif labels.shape != (masks.shape[0],) or labels.dtype.kind not in "iu":
+            raise ValueError(
+                f"labels must be one integer per row, got {labels.dtype} {labels.shape}"
+            )
+        elif ((labels < 0) | (labels >= self.num_classes)).any():
+            raise ValueError("labels out of range")
+        # q[y][y] = 1 makes the own-label factor 1 on rows that contain y.
+        rows = self.q[labels]
+        p = np.where(masks, rows, 1.0 - rows).prod(axis=1)
+        p[~masks[np.arange(masks.shape[0]), labels]] = 0.0
         if self.reject_full:
             p[masks.all(axis=1)] = 0.0
-            p /= 1.0 - self._full_set_mass(y)
+            p /= 1.0 - self._full_set_mass(labels)
         return p
 
     def set_probability(self, y: int, subset) -> float:

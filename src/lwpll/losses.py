@@ -246,8 +246,8 @@ def special_case_loss(kind: str, scores, candidates, psi: BinaryLoss) -> float:
 
 
 def derived_supervised_loss(
-    true_label: int, scores, weights, q_row, cfg: LWConfig
-) -> float:
+    true_label, scores, weights, q_row, cfg: LWConfig
+) -> float | np.ndarray:
     """Supervised loss whose risk the candidate-set loss matches.
 
     This is the conditional expectation of `lw_loss` over candidate sets
@@ -260,6 +260,10 @@ def derived_supervised_loss(
           + sum_{z != y} w_z [alpha * q_z psi(g_z)
                               + beta * (1 - q_z) psi(-g_z)].
 
+    One label with a length-K q_row gives a float; a vector of n labels
+    with an (n, K) q_row (row i for label i) gives the n losses, each row
+    validated and summed exactly as a single call would.
+
     Cross-entropy mode is rejected: its coordinates are softmax-coupled and
     no closed per-class form applies.
     """
@@ -270,21 +274,39 @@ def derived_supervised_loss(
     g = np.asarray(scores, dtype=float)
     w = np.asarray(weights, dtype=float)
     q = np.asarray(q_row, dtype=float)
-    if not (g.shape == w.shape == q.shape) or g.ndim != 1:
+    y = np.asarray(true_label)
+    single = y.ndim == 0
+    if single:
+        y, q = np.array([int(y)]), q[None]
+    if y.ndim != 1 or y.dtype.kind not in "iu":
         raise ValueError(
-            f"shape mismatch: scores {g.shape}, weights {w.shape}, q_row {q.shape}"
+            f"true labels must be an integer vector, got {y.dtype} {y.shape}"
         )
-    y = int(true_label)
-    if not 0 <= y < g.shape[0]:
-        raise ValueError(f"true_label {y} out of range for {g.shape[0]} classes")
-    if q[y] != 1.0:
-        raise ValueError(f"q_row[true_label] must be exactly 1, got {q[y]}")
-    others = np.arange(g.shape[0]) != y
-    if ((q[others] < 0.0) | (q[others] >= 1.0)).any():
+    if g.ndim != 1 or not (g.shape == w.shape == q.shape[1:]) or len(q) != len(y):
+        raise ValueError(
+            f"shape mismatch: scores {g.shape}, weights {w.shape}, "
+            f"q_row {q.shape[1:] if single else q.shape}"
+        )
+    k = g.shape[0]
+    out_of_range = (y < 0) | (y >= k)
+    if out_of_range.any():
+        raise ValueError(
+            f"true_label {y[out_of_range][0]} out of range for {k} classes"
+        )
+    rows = np.arange(y.shape[0])
+    own = q[rows, y]
+    if (own != 1.0).any():
+        bad = own[own != 1.0][0]
+        raise ValueError(f"q_row[true_label] must be exactly 1, got {bad}")
+    others = np.arange(k) != y[:, None]
+    if (((q < 0.0) | (q >= 1.0)) & others).any():
         raise ValueError("off-label inclusion probabilities must lie in [0, 1)")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
     pos = cfg.psi.value(g)
     neg = cfg.psi.value(-g)
     cross = w * (cfg.alpha * q * pos + cfg.beta * (1.0 - q) * neg)
-    return float(cfg.alpha * w[y] * pos[y] + cross[others].sum())
+    # Each row's off-label terms, contiguous, sum in the single-label order.
+    off_label = cross[others].reshape(y.shape[0], k - 1).sum(axis=1)
+    out = cfg.alpha * w[y] * pos[y] + off_label
+    return float(out[0]) if single else out

@@ -388,3 +388,37 @@ def test_csv_source_is_read_once_per_command(tmp_path, monkeypatch):
 
 def test_unknown_config_path_is_reported(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_verify_rejects_bad_arguments_before_checking(capsys):
+    cases = (
+        (["--trials", "-5"], "--trials"),
+        (["--k-list", ""], "--k-list"),
+        (["--k-list", "0,2"], "--k-list"),
+        (["--k-list", "2,17"], "--k-list"),
+    )
+    for args, option in cases:
+        assert main(["verify", "--quiet"] + args) == 2
+        captured = capsys.readouterr()
+        assert option in captured.err
+        assert captured.out == ""
+
+
+def test_duplicate_seeds_fail_before_any_run_directory(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0,1,0"),
+        **{"output.dir": tmp_path / "out"},
+    )
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+    assert "seeds: duplicate seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_lw_threads_fails_before_any_run_directory(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("LW_THREADS", value)
+        for command in (["train"], ["sweep", "--beta", "0,1"]):
+            assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+            assert "LW_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

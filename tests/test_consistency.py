@@ -1,5 +1,7 @@
 """Enumeration-based certification of the risk identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lwpll import (
     derived_supervised_loss,
     lemma1_check,
     lw_loss,
+    lw_loss_batch,
     make_rng,
     make_uniform,
     partial_risk_bruteforce,
@@ -285,3 +288,259 @@ def test_certify_coefficient_ordering_smoke():
     report = certify_coefficient_ordering(instances=500, seed=3)
     assert report.max_discrepancy == 0.0
     assert report.instances == 500
+
+
+# batched certifier against one-label-at-a-time references
+#
+# The references below are the per-label loops the certifier used to run.
+# The batched code keeps every row's arithmetic and reduction order, so the
+# results must be equal, not merely close.
+
+
+def reference_subset_probabilities(model, y, subsets):
+    row = model.q[y]
+    factors = np.where(subsets, row, 1.0 - row)
+    factors[:, y] = 1.0
+    p = factors.prod(axis=1)
+    p[~subsets[:, y]] = 0.0
+    if model.reject_full:
+        p[subsets.all(axis=1)] = 0.0
+        off = np.arange(model.num_classes) != y
+        p /= 1.0 - float(np.prod(model.q[y, off]))
+    return p
+
+
+def reference_derived_supervised_loss(y, g, w, q_row, cfg):
+    pos = cfg.psi.value(g)
+    neg = cfg.psi.value(-g)
+    cross = w * (cfg.alpha * q_row * pos + cfg.beta * (1.0 - q_row) * neg)
+    others = np.arange(g.shape[0]) != y
+    return float(cfg.alpha * w[y] * pos[y] + cross[others].sum())
+
+
+def reference_partial_risk(g, p, model, w, cfg):
+    k = model.num_classes
+    terms = []
+    for y in range(k):
+        if p[y] == 0.0:
+            continue
+        subsets = enumerate_subsets(k, containing=y)
+        probs = reference_subset_probabilities(model, y, subsets)
+        losses = lw_loss_batch(
+            np.broadcast_to(g, subsets.shape), subsets,
+            np.broadcast_to(w, subsets.shape), cfg,
+        )
+        terms.extend((p[y] * probs * losses).tolist())
+    return math.fsum(terms)
+
+
+def reference_supervised_risk(g, p, model, w, cfg):
+    total = 0.0
+    for y in range(model.num_classes):
+        if p[y] == 0.0:
+            continue
+        total += p[y] * reference_derived_supervised_loss(y, g, w, model.q[y], cfg)
+    return total
+
+
+def reference_coefficient_check(p, w, q, beta):
+    y_star = int(np.flatnonzero(p == 1.0)[0])
+    c = w * q * (beta * p - (beta - 1.0))
+    return int(np.argmax(c)) == y_star
+
+
+def reference_coefficient_ordering(instances, seed, k_values, check):
+    rng = make_rng(seed)
+    failures = 0
+    worst = "all instances ordered correctly"
+    for i in range(instances):
+        k = k_values[i % len(k_values)]
+        y_star = int(rng.integers(k))
+        w = rng.random(k) + 1e-9
+        top = int(np.argmax(w))
+        w[y_star], w[top] = w[top], w[y_star]
+        q = rng.random(k) * 0.98
+        q[y_star] = 1.0
+        p = np.zeros(k)
+        p[y_star] = 1.0
+        beta = 10.0 * (1.0 - rng.random())
+        if not check(p, w, q, beta):
+            failures += 1
+            if failures == 1:
+                worst = f"instance {i}: K={k}, y*={y_star}, beta={beta!r}"
+    return float(failures > 0), instances, worst
+
+
+def seeded_instances(seed, per_k=4, k_values=range(1, 13)):
+    """Random instances with rejection models and zeroed posterior entries."""
+    rng = make_rng(seed)
+    psis = (SIGMOID, RAMP, ZERO_ONE_STEP)
+    for k in k_values:
+        for t in range(per_k):
+            q = rng.random((k, k)) * 0.98
+            q[rng.random((k, k)) < 0.15] = 0.0
+            np.fill_diagonal(q, 1.0)
+            model = GenerationModel(q, reject_full=k > 1 and t % 2 == 1)
+            p = rng.dirichlet(np.ones(k))
+            if k > 1 and t >= 2:
+                p[rng.permutation(k)[: (k + 1) // 2]] = 0.0
+                p = np.eye(k)[int(np.argmax(p))] if p.sum() == 0.0 else p / p.sum()
+                if abs(p.sum() - 1.0) > 1e-12:
+                    p = np.eye(k)[int(np.argmax(p))]
+            g = rng.normal(0.0, 2.0, size=k)
+            w = rng.random(k)
+            cfg = LWConfig(
+                beta=float(rng.random() * 8), alpha=float(rng.random() * 2),
+                psi=psis[(k + t) % 3],
+            )
+            yield g, p, model, w, cfg
+
+
+def test_batched_risks_equal_per_label_references():
+    zeroed = 0
+    for g, p, model, w, cfg in seeded_instances(227):
+        zeroed += int((p == 0.0).any())
+        assert partial_risk_bruteforce(g, p, model, w, cfg) == reference_partial_risk(
+            g, p, model, w, cfg
+        )
+        if not model.reject_full:
+            assert supervised_risk_direct(g, p, model, w, cfg) == (
+                reference_supervised_risk(g, p, model, w, cfg)
+            )
+    assert zeroed >= 10
+
+
+def test_batched_closed_form_and_set_probabilities_equal_references():
+    for g, p, model, w, cfg in seeded_instances(229, per_k=2):
+        k = model.num_classes
+        subsets = enumerate_subsets(k)
+        for y in range(k):
+            assert np.array_equal(
+                model.subset_probabilities(y, subsets),
+                reference_subset_probabilities(model, y, subsets),
+            )
+        labels = np.arange(k)
+        per_label = derived_supervised_loss(labels, g, w, model.q[labels], cfg)
+        assert per_label.tolist() == [
+            reference_derived_supervised_loss(y, g, w, model.q[y], cfg) for y in range(k)
+        ]
+        assert [derived_supervised_loss(y, g, w, model.q[y], cfg) for y in range(k)] == (
+            per_label.tolist()
+        )
+
+
+def test_batched_closed_form_validates_every_row():
+    model = make_uniform(3, 0.4)
+    g, w, cfg = np.zeros(3), np.ones(3), LWConfig(beta=1.0, psi=SIGMOID)
+    labels = np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        derived_supervised_loss(np.array([0, 3]), g, w, model.q[[0, 0]], cfg)
+    with pytest.raises(ValueError, match="exactly 1"):
+        derived_supervised_loss(labels, g, w, model.q[[0, 1, 1]], cfg)
+    bad_rate = model.q.copy()
+    bad_rate[2, 0] = 1.0
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        derived_supervised_loss(labels, g, w, bad_rate, cfg)
+    with pytest.raises(ValueError, match="shape"):
+        derived_supervised_loss(labels, g, w, model.q[:2], cfg)
+
+
+def test_batched_coefficient_check_equals_reference():
+    rng = make_rng(233)
+    for k in range(1, 13):
+        n = 50
+        y_star = rng.integers(k, size=n)
+        rows = np.arange(n)
+        w = rng.random((n, k)) + 1e-9
+        top = w.argmax(axis=1)
+        w[rows, y_star], w[rows, top] = w[rows, top], w[rows, y_star]
+        q = rng.random((n, k)) * 0.98
+        q[rows, y_star] = 1.0
+        p = np.zeros((n, k))
+        p[rows, y_star] = 1.0
+        beta = 10.0 * (1.0 - rng.random(n))
+        batch = theorem2_coefficient_check(p, w, q, beta)
+        for r in range(n):
+            expected = reference_coefficient_check(p[r], w[r], q[r], float(beta[r]))
+            assert batch[r] == expected
+            assert theorem2_coefficient_check(p[r], w[r], q[r], float(beta[r])) is expected
+
+
+def test_batched_coefficient_check_enforces_preconditions_on_every_row():
+    p = np.tile([1.0, 0.0, 0.0], (3, 1))
+    w = np.tile([0.9, 0.1, 0.2], (3, 1))
+    q = np.tile([1.0, 0.5, 0.5], (3, 1))
+    beta = np.ones(3)
+    assert theorem2_coefficient_check(p, w, q, beta).tolist() == [True] * 3
+    # each case breaks exactly one precondition, in the last row only
+    cases = (
+        ("p", [0.5, 0.5, 0.0]),
+        ("w", [0.9, -0.1, 0.2]),
+        ("w", [0.0, 0.0, 0.0]),
+        ("w", [0.5, 0.9, 0.1]),
+        ("q", [0.9, 0.5, 0.5]),
+        ("q", [1.0, 1.0, 0.5]),
+        ("q", [1.0, -0.1, 0.5]),
+        ("beta", 0.0),
+        ("beta", np.nan),
+    )
+    for name, bad in cases:
+        arrays = {"p": p.copy(), "w": w.copy(), "q": q.copy(), "beta": beta.copy()}
+        arrays[name][2] = bad
+        with pytest.raises(CheckNotApplicable):
+            theorem2_coefficient_check(arrays["p"], arrays["w"], arrays["q"], arrays["beta"])
+        with pytest.raises(CheckNotApplicable):
+            theorem2_coefficient_check(
+                arrays["p"][2], arrays["w"][2], arrays["q"][2], float(arrays["beta"][2])
+            )
+
+
+def test_certify_coefficient_ordering_equals_reference(monkeypatch):
+    for seed, instances, k_values in ((0, 2000, (2, 3, 4, 5, 6, 7, 8, 9, 10)),
+                                      (5, 41, (1, 12, 4, 4)), (6, 3, (2, 3, 4, 5))):
+        report = certify_coefficient_ordering(instances, seed, k_values)
+        expected = reference_coefficient_ordering(
+            instances, seed, k_values, reference_coefficient_check
+        )
+        assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+
+    # the batches hold exactly the reference draws, row i // 3 of group i % 3
+    real = lwpll.consistency.theorem2_coefficient_check
+    batches = []
+
+    def spy(p, w, q, beta):
+        batches.append((p.copy(), w.copy(), q.copy(), np.array(beta)))
+        return real(p, w, q, beta)
+
+    monkeypatch.setattr(lwpll.consistency, "theorem2_coefficient_check", spy)
+    certify_coefficient_ordering(500, 7, (2, 3, 9))
+    drawn = []
+    reference_coefficient_ordering(
+        500, 7, (2, 3, 9), lambda *args: drawn.append(args) or True
+    )
+    assert [b[0].shape for b in batches] == [(167, 2), (167, 3), (166, 9)]
+    for i, (p, w, q, beta) in enumerate(drawn):
+        group = batches[i % 3]
+        assert np.array_equal(group[0][i // 3], p)
+        assert np.array_equal(group[1][i // 3], w)
+        assert np.array_equal(group[2][i // 3], q)
+        assert group[3][i // 3] == beta
+
+    # a check that fails whenever beta > 5 must be reported at its first failure
+    def flipped(p, w, q, beta):
+        return real(p, w, q, beta) ^ (np.asarray(beta) > 5.0)
+
+    monkeypatch.setattr(lwpll.consistency, "theorem2_coefficient_check", flipped)
+    report = certify_coefficient_ordering(500, 7, (2, 3, 9))
+    expected = reference_coefficient_ordering(500, 7, (2, 3, 9), flipped)
+    assert expected[0] == 1.0
+    assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+
+
+def test_verify_json_line_is_pinned(capsys):
+    from lwpll.cli import main
+
+    assert main(["verify", "--trials", "1000", "--seed", "201", "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        '{"instances": 12855, "max_discrepancy": 3.552713678800501e-15, "pass": true}'
+    )

@@ -142,6 +142,37 @@ def test_subset_probabilities_matches_scalar():
             assert m.set_probability(2, row) == expected
 
 
+def test_diagonal_must_be_exactly_one():
+    for bad in (1.0 + 2.0**-52, 1.0 - 2.0**-53, np.nan, np.inf):
+        q = np.full((3, 3), 0.2)
+        np.fill_diagonal(q, 1.0)
+        q[1, 1] = bad
+        with pytest.raises(ValueError, match="diagonal"):
+            GenerationModel(q)
+
+
+def test_subset_probabilities_accepts_one_label_per_row():
+    rng = make_rng(107)
+    for k in (1, 2, 5, 8):
+        q = rng.random((k, k)) * 0.9
+        q[rng.random((k, k)) < 0.2] = 0.0
+        np.fill_diagonal(q, 1.0)
+        for reject in (False, True) if k > 1 else (False,):
+            m = GenerationModel(q, reject_full=reject)
+            subsets = enumerate_subsets(k)
+            labels = rng.integers(k, size=subsets.shape[0])
+            p = m.subset_probabilities(labels, subsets)
+            for row, y, got in zip(subsets, labels, p):
+                assert got == m.subset_probabilities(int(y), row[None, :])[0]
+    m = make_uniform(3, 0.4)
+    with pytest.raises(ValueError):
+        m.subset_probabilities(np.array([0, 3]), enumerate_subsets(3)[:2])
+    with pytest.raises(ValueError):
+        m.subset_probabilities(np.array([0, 1, 2]), enumerate_subsets(3)[:2])
+    with pytest.raises(ValueError):
+        m.subset_probabilities(np.array([0.0, 1.0]), enumerate_subsets(3)[:2])
+
+
 # sampling
 
 
