@@ -39,7 +39,7 @@ from .data import (
     take,
     with_candidates,
 )
-from .losses import CROSS_ENTROPY, LWConfig, get_loss
+from .losses import LWConfig, get_loss
 from .model import (
     TrainerConfig,
     TrainingDiverged,
@@ -309,9 +309,7 @@ def _prepare_run(
 
 
 def _lw_config(cfg: ExperimentConfig, alpha: float, beta: float) -> LWConfig:
-    psi = cfg["loss.psi"]
-    loss = CROSS_ENTROPY if psi == "cross_entropy" else get_loss(psi)
-    return LWConfig(beta=beta, alpha=alpha, psi=loss)
+    return LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"]))
 
 
 def _trainer_config(cfg: ExperimentConfig, seed: int) -> TrainerConfig:

@@ -11,13 +11,20 @@ uniform-rejection special value 1/(2^(K-1) - 1), the coefficient-ordering
 property behind classifier consistency, and the collapse of the beta = 1
 loss to a function of the true-label score alone.
 
-Each instance is checked in one batched pass: the candidate sets of every
-label with positive posterior mass are stacked into one set-probability and
-one loss evaluation, the closed form is evaluated for all those labels in
-one call, and the coefficient-ordering instances are checked one K at a
-time. The instances are drawn exactly as one-at-a-time checking would draw
-them, and every reported figure is bit-identical to it: the per-row
-arithmetic and reduction order are unchanged, and `math.fsum` is exact.
+The risk check works in batches of instances. Instances that share a
+(K, psi, beta, alpha) grid point are stacked, one q matrix per instance in
+one stacked `GenerationModel`, and each batch makes one set-probability,
+one `lw_loss_batch` and one `derived_supervised_loss` call. The loss of a
+candidate set does not depend on the true label, so it is evaluated once
+per nonempty set (2^K - 1 rows per instance) and shared by every label in
+the set. A batch holds at most MAX_BATCH_ROWS (label, set) rows, and at
+least one instance, so its memory is bounded whatever the instance count.
+The `derived_loss` hook receives the same batched arguments as the closed
+form and goes through the same accumulation. The coefficient-ordering
+instances are checked one K at a time. All instances are drawn exactly as
+one-at-a-time checking would draw them, and every reported figure is
+bit-identical to it: the per-row arithmetic and reduction order are
+unchanged, and `math.fsum` is exact.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ from .losses import (
 from .rng import make_rng
 
 MAX_ENUMERATION_CLASSES = 16
+
+# Bound on the (label, set) rows of one certification batch, K 2^(K-1) per
+# instance; from K = 11 on a batch holds one instance, so a batch's memory
+# does not grow with the instance count.
+MAX_BATCH_ROWS = 2**14
 
 
 class CheckNotApplicable(ValueError):
@@ -71,7 +83,8 @@ def validate_posterior(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2):
         raise ValueError("posterior must be a vector or a stack of vectors")
-    if (p < 0.0).any() or (np.abs(p.sum(axis=-1) - 1.0) > 1e-12).any():
+    # Written so that NaN fails the check.
+    if not ((p >= 0.0).all() and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all()):
         raise ValueError("posterior entries must be >= 0 and sum to 1")
     return p
 
@@ -100,49 +113,87 @@ def enumerate_subsets(num_classes: int, containing: int | None = None) -> np.nda
 
 
 @lru_cache(maxsize=None)
-def _subsets_by_label(num_classes: int) -> np.ndarray:
-    """(K, 2^(K-1), K) stack whose block y is enumerate_subsets(K, containing=y)."""
-    out = np.stack(
-        [enumerate_subsets(num_classes, containing=y) for y in range(num_classes)]
+def _label_set_rows(num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^K - 1 nonempty sets, then one (label, set) row per label y and
+    set containing y: the rows' labels and the index of each row's set."""
+    sets = enumerate_subsets(num_classes)[1:]
+    labels = np.repeat(np.arange(num_classes), 2 ** (num_classes - 1))
+    members = np.concatenate(
+        [np.flatnonzero(sets[:, y]) for y in range(num_classes)]
     )
-    out.setflags(write=False)
-    return out
+    for array in (sets, labels, members):
+        array.setflags(write=False)
+    return sets, labels, members
+
+
+def _instances(scores, posterior, model: GenerationModel, weights):
+    """Validate one instance, or one per model of a stack.
+
+    Returns the posteriors, scores and weights as (n, K) arrays, and whether
+    a single instance was given.
+    """
+    p = validate_posterior(posterior)
+    g = np.asarray(scores, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    shape = model.q.shape[:-1]
+    if p.shape != shape:
+        raise ValueError(
+            f"posterior shape {p.shape} does not match the model's {shape}"
+        )
+    if not g.shape == w.shape == shape:
+        raise ValueError(
+            f"scores {g.shape} and weights {w.shape} must have the shape {shape}"
+        )
+    k = model.num_classes
+    return p.reshape(-1, k), g.reshape(-1, k), w.reshape(-1, k), p.ndim == 1
 
 
 def partial_risk_bruteforce(
     scores, posterior, model: GenerationModel, weights, cfg: LWConfig
-) -> float:
+) -> float | np.ndarray:
     """Exact partial risk by enumerating every candidate set per true label.
 
     Computes sum_y p_y sum_{S with y in S} P(S | y) * lw_loss(g, S, w, cfg),
-    accumulating the terms with exact float summation. The 2^(K-1) sets of
-    every label with p_y != 0 go through one set-probability and one loss
-    evaluation.
+    accumulating the terms with exact float summation; labels with p_y = 0
+    contribute nothing. The loss of S does not depend on y, so it is
+    evaluated once per nonempty set and shared by every label in S.
+
+    One instance (length-K scores, posterior, weights) gives a float. A
+    stack of n models with (n, K) arrays gives the n risks, with one
+    set-probability and one loss evaluation for the whole stack.
     """
-    p = validate_posterior(posterior)
-    k = model.num_classes
-    if p.shape != (k,):
-        raise ValueError(f"posterior length {p.shape[0]} does not match K={k}")
-    g = np.asarray(scores, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    labels = np.flatnonzero(p)
-    blocks = _subsets_by_label(k)
-    subsets = blocks[labels].reshape(-1, k)
-    row_labels = np.repeat(labels, blocks.shape[1])
-    probs = model.subset_probabilities(row_labels, subsets)
+    p, g, w, single = _instances(scores, posterior, model, weights)
+    sets, labels, members = _label_set_rows(model.num_classes)
+    n = p.shape[0]
     losses = lw_loss_batch(
-        np.broadcast_to(g, subsets.shape),
-        subsets,
-        np.broadcast_to(w, subsets.shape),
+        np.repeat(g, sets.shape[0], axis=0),
+        np.tile(sets, (n, 1)),
+        np.repeat(w, sets.shape[0], axis=0),
         cfg,
-    )
-    return math.fsum((p[row_labels] * probs * losses).tolist())
+    ).reshape(n, sets.shape[0])[:, members]
+    probs = model.subset_probabilities(labels, sets[members])
+    mass = p[:, labels]
+    terms = np.where(mass != 0.0, mass * probs * losses, 0.0)
+    risks = [math.fsum(row) for row in terms.tolist()]
+    return risks[0] if single else np.array(risks)
 
 
 def supervised_risk_direct(
-    scores, posterior, model: GenerationModel, weights, cfg: LWConfig
-) -> float:
+    scores,
+    posterior,
+    model: GenerationModel,
+    weights,
+    cfg: LWConfig,
+    derived_loss=None,
+) -> float | np.ndarray:
     """Closed-form supervised risk: sum_y p_y * derived_supervised_loss(y).
+
+    Takes one instance or a stack, as `partial_risk_bruteforce` does, and
+    makes one closed-form call for every (instance, label) pair with
+    p_y != 0; each instance's terms are added in label order.
+    `derived_loss` replaces the closed form (to prove a check can fail); it
+    is called with the same batched arguments: a label vector and one row
+    of scores, weights and q per label.
 
     Rejection models are refused: dropping the full set rescales every set
     probability by 1/(1 - M_y) and the per-class closed form no longer
@@ -152,16 +203,19 @@ def supervised_risk_direct(
         raise CheckNotApplicable(
             "the closed-form supervised risk assumes no full-set rejection"
         )
-    p = validate_posterior(posterior)
-    k = model.num_classes
-    if p.shape != (k,):
-        raise ValueError(f"posterior length {p.shape[0]} does not match K={k}")
-    labels = np.flatnonzero(p)
-    losses = derived_supervised_loss(labels, scores, weights, model.q[labels], cfg)
-    total = 0.0
-    for mass, loss in zip(p[labels].tolist(), losses.tolist()):
-        total += mass * loss
-    return total
+    p, g, w, single = _instances(scores, posterior, model, weights)
+    if derived_loss is None:
+        derived_loss = derived_supervised_loss
+    q = model.q.reshape((-1,) + model.q.shape[-2:])
+    inst, labels = np.nonzero(p)
+    terms = np.zeros_like(p)
+    terms[inst, labels] = p[inst, labels] * derived_loss(
+        labels, g[inst], w[inst], q[inst, labels], cfg
+    )
+    total = np.zeros(p.shape[0])
+    for column in terms.T:
+        total += column
+    return float(total[0]) if single else total
 
 
 def lemma1_check(model: GenerationModel, true_label: int) -> ConsistencyReport:
@@ -206,13 +260,14 @@ def theorem2_coefficient_check(posterior, weights, q_row, beta) -> bool | np.nda
         raise CheckNotApplicable("posterior must be one-hot")
     y_star = one_hot.argmax(axis=1)
     rows = np.arange(p.shape[0])
-    if (
-        (w < 0.0).any()
-        or (w[rows, y_star] <= 0.0).any()
-        or (w.argmax(axis=1) != y_star).any()
+    # The range checks are written so that NaN fails them.
+    if not (
+        (w >= 0.0).all()
+        and (w[rows, y_star] > 0.0).all()
+        and (w.argmax(axis=1) == y_star).all()
     ):
         raise CheckNotApplicable("weights must be maximal and positive at y*")
-    if (q[rows, y_star] != 1.0).any() or (((q < 0.0) | (q >= 1.0)) & ~one_hot).any():
+    if (q[rows, y_star] != 1.0).any() or (~((q >= 0.0) & (q < 1.0)) & ~one_hot).any():
         raise CheckNotApplicable("need q[y*] = 1 and q_z in [0, 1) elsewhere")
     if not (b > 0.0).all():
         raise CheckNotApplicable("beta must be positive")
@@ -257,10 +312,13 @@ def beta1_collapse_check(
     return abs(la - lb) <= tolerance
 
 
-def _random_model(k: int, rng: np.random.Generator) -> GenerationModel:
-    q = rng.random((k, k)) * 0.98
-    np.fill_diagonal(q, 1.0)
-    return GenerationModel(q)
+def _random_model(draws: np.ndarray) -> GenerationModel:
+    """A random model, or a stack, from uniform draws of shape (..., K, K);
+    the draws are overwritten."""
+    draws *= 0.98
+    k = draws.shape[-1]
+    draws[..., np.arange(k), np.arange(k)] = 1.0
+    return GenerationModel(draws)
 
 
 def certify_risk_equivalence(
@@ -273,43 +331,69 @@ def certify_risk_equivalence(
 ) -> ConsistencyReport:
     """Randomized equality check: enumerated partial risk vs closed form.
 
-    Instance i draws random scores, posterior, model, and weights, and walks
+    Instance i draws random scores, posterior, weights and model, and walks
     the (K, psi, beta, alpha) grid round-robin; the cycle lengths 7, 3, 5, 2
     are pairwise coprime, so 210 instances already cover the full grid.
-    `derived_loss` substitutes the closed-form half (used to prove the check
-    can fail); the default is the production form.
+    Instances i and i + period, period the least common multiple of the
+    cycle lengths, share a grid point; each such group is checked in
+    batches of at most max(1, MAX_BATCH_ROWS // (K 2^(K-1))) instances,
+    with one `partial_risk_bruteforce` and one `supervised_risk_direct`
+    call per batch. `derived_loss` substitutes the closed-form half (used
+    to prove the check can fail); the default is the production form.
     """
     rng = make_rng(seed)
     psis = tuple(BINARY_LOSSES.values())
-    worst = (0.0, "no instances checked")
+    period = math.lcm(len(k_values), len(psis), len(betas), len(alphas))
+    buffers = {}
+    worst = (0.0, -1)
     for i in range(instances):
-        k = k_values[i % len(k_values)]
-        psi = psis[i % len(psis)]
+        j = i % period
+        k = k_values[j % len(k_values)]
+        if j not in buffers:
+            n = min(
+                max(1, MAX_BATCH_ROWS // (k << (k - 1))),
+                len(range(j, instances, period)),
+            )
+            buffers[j] = tuple(np.empty((n, k)) for _ in range(3)) + (
+                np.empty((n, k, k)),
+            )
+        g, p, w, q = buffers[j]
+        row = (i // period) % g.shape[0]
+        g[row] = rng.normal(0.0, 2.0, size=k)
+        p[row] = rng.dirichlet(np.ones(k))
+        rng.random(out=w[row])
+        rng.random(out=q[row])
+        # Check the batch once it is full or its grid point has no more draws.
+        if row + 1 < g.shape[0] and i + period < instances:
+            continue
+        n = row + 1
+        model = _random_model(q[:n])
         cfg = LWConfig(
-            beta=betas[i % len(betas)], alpha=alphas[i % len(alphas)], psi=psi
+            beta=betas[j % len(betas)],
+            alpha=alphas[j % len(alphas)],
+            psi=psis[j % len(psis)],
         )
-        g = rng.normal(0.0, 2.0, size=k)
-        p = rng.dirichlet(np.ones(k))
-        w = rng.random(k)
-        model = _random_model(k, rng)
-        lhs = partial_risk_bruteforce(g, p, model, w, cfg)
-        if derived_loss is None:
-            rhs = supervised_risk_direct(g, p, model, w, cfg)
-        else:
-            rhs = math.fsum(
-                p[y] * derived_loss(y, g, w, model.q[y], cfg)
-                for y in range(k)
-                if p[y] > 0.0
-            )
-        gap = abs(lhs - rhs)
-        if gap > worst[0]:
-            worst = (
-                gap,
-                f"instance {i}: K={k}, psi={psi.name}, beta={cfg.beta}, "
-                f"alpha={cfg.alpha}, |lhs-rhs|={gap:.3e}",
-            )
+        lhs = partial_risk_bruteforce(g[:n], p[:n], model, w[:n], cfg)
+        rhs = supervised_risk_direct(g[:n], p[:n], model, w[:n], cfg, derived_loss)
+        # The first instance in draw order with the largest gap, as a
+        # one-at-a-time scan keeping strict improvements would report it.
+        for r, gap in enumerate(np.abs(lhs - rhs).tolist()):
+            index = i - (row - r) * period
+            if gap > worst[0] or (gap == worst[0] and index < worst[1]):
+                worst = (gap, index)
+    if worst[1] < 0:
+        return ConsistencyReport(
+            max_discrepancy=0.0, instances=instances, worst_case="no instances checked"
+        )
+    gap, i = worst
     return ConsistencyReport(
-        max_discrepancy=worst[0], instances=instances, worst_case=worst[1]
+        max_discrepancy=gap,
+        instances=instances,
+        worst_case=(
+            f"instance {i}: K={k_values[i % len(k_values)]}, "
+            f"psi={psis[i % len(psis)].name}, beta={betas[i % len(betas)]}, "
+            f"alpha={alphas[i % len(alphas)]}, |lhs-rhs|={gap:.3e}"
+        ),
     )
 
 
@@ -323,7 +407,7 @@ def certify_subset_normalization(
     worst = (0.0, "no models checked")
     for i in range(models):
         k = k_values[i % len(k_values)]
-        model = _random_model(k, rng)
+        model = _random_model(rng.random((k, k)))
         y = int(rng.integers(k))
         report = lemma1_check(model, y)
         if report.max_discrepancy > worst[0]:

@@ -22,36 +22,48 @@ RETRY_CAP = 10**6
 
 
 class GenerationModel:
-    """Candidate-set sampler and probability oracle for one q matrix.
+    """Candidate-set sampler and probability oracle for one q matrix, or for
+    a stack of them.
 
-    q: (K, K) array with unit diagonal and off-diagonal entries in [0, 1).
+    q: (K, K) array with unit diagonal and off-diagonal entries in [0, 1),
+    or an (n, K, K) stack of such matrices, one model per instance of a
+    batch; every matrix is validated. A stack answers `subset_probabilities`
+    for all its models at once; sampling and `set_probability` need one model.
     reject_full: when True, the full set {0..K-1} is rejected and resampled,
     and `set_probability` renormalizes accordingly.
     """
 
     def __init__(self, q, reject_full: bool = False):
         q = np.array(q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        if q.ndim not in (2, 3) or q.shape[-2] != q.shape[-1]:
             raise ValueError(f"q must be square, got shape {q.shape}")
-        if q.shape[0] < 1:
+        if q.shape[-1] < 1:
             raise ValueError("need at least 1 class")
-        if not (np.diag(q) == 1.0).all():
+        own = np.eye(q.shape[-1], dtype=bool)
+        if not (q[..., own] == 1.0).all():
             raise ValueError("diagonal entries of q must be exactly 1")
-        off = ~np.eye(q.shape[0], dtype=bool)
-        if ((q[off] < 0.0) | (q[off] >= 1.0)).any():
+        off = q[..., ~own]
+        # Written so that NaN fails the range check.
+        if not ((off >= 0.0) & (off < 1.0)).all():
             raise ValueError("off-diagonal entries of q must lie in [0, 1)")
-        if reject_full and q.shape[0] == 1:
+        if reject_full and q.shape[-1] == 1:
             raise ValueError("rejecting the full set leaves no candidate set for K=1")
         q.setflags(write=False)
         self.q = q
-        self.num_classes = q.shape[0]
+        self.num_classes = q.shape[-1]
         self.reject_full = bool(reject_full)
 
+    def _one_model(self) -> None:
+        if self.q.ndim != 2:
+            raise ValueError("this needs one model, not a stack of them")
+
     def _full_set_mass(self, y) -> np.ndarray:
-        """P(all other classes enter the set | true label y), per label in y."""
+        """P(all other classes enter the set | true label y), per label in y
+        (and per model of a stack)."""
         k = self.num_classes
-        off = self.q[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-        return off.prod(axis=1)[y]
+        off = self.q[..., ~np.eye(k, dtype=bool)]
+        off = off.reshape(self.q.shape[:-1] + (k - 1,))
+        return off.prod(axis=-1)[..., y]
 
     def subset_probabilities(self, y, subsets) -> np.ndarray:
         """P(candidate set = row | true label) for a stack of boolean rows.
@@ -59,7 +71,8 @@ class GenerationModel:
         y is one label for every row or a vector with one label per row.
         Rows not containing their label get probability 0, as does the
         all-classes row under reject_full (whose mass is redistributed over
-        the rest of that label's sets).
+        the rest of that label's sets). One model gives an (m,) array; a
+        stack of n models gives (n, m), row i for model i.
         """
         masks = np.asarray(subsets, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.num_classes:
@@ -77,17 +90,19 @@ class GenerationModel:
             )
         elif ((labels < 0) | (labels >= self.num_classes)).any():
             raise ValueError("labels out of range")
+        labels = np.broadcast_to(labels, masks.shape[:1])
         # q[y][y] = 1 makes the own-label factor 1 on rows that contain y.
-        rows = self.q[labels]
-        p = np.where(masks, rows, 1.0 - rows).prod(axis=1)
-        p[~masks[np.arange(masks.shape[0]), labels]] = 0.0
+        rows = self.q[..., labels, :]
+        p = np.where(masks, rows, 1.0 - rows).prod(axis=-1)
+        p[..., ~masks[np.arange(masks.shape[0]), labels]] = 0.0
         if self.reject_full:
-            p[masks.all(axis=1)] = 0.0
+            p[..., masks.all(axis=1)] = 0.0
             p /= 1.0 - self._full_set_mass(labels)
         return p
 
     def set_probability(self, y: int, subset) -> float:
         """P(candidate set = subset | true label y); 0 if y not in subset."""
+        self._one_model()
         mask = np.asarray(subset, dtype=bool)
         if mask.shape != (self.num_classes,):
             raise ValueError(
@@ -97,6 +112,7 @@ class GenerationModel:
 
     def sample_set(self, y: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one candidate set for true label y as a boolean mask."""
+        self._one_model()
         y = int(y)
         if not 0 <= y < self.num_classes:
             raise ValueError(f"label {y} out of range")
@@ -113,6 +129,7 @@ class GenerationModel:
 
     def sample_sets(self, labels, rng: np.random.Generator) -> np.ndarray:
         """Draw candidate sets for a label vector; returns (n, K) boolean masks."""
+        self._one_model()
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-D integer array")

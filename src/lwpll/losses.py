@@ -149,7 +149,7 @@ def _as_batch(scores, candidates, weights):
         raise ValueError("scores must be finite")
     if not m.any(axis=1).all():
         raise ValueError("candidate set must be nonempty")
-    if (w < 0.0).any():
+    if not (w >= 0.0).all():
         raise ValueError("weights must be nonnegative")
     return g, m, w, squeeze
 
@@ -260,9 +260,11 @@ def derived_supervised_loss(
           + sum_{z != y} w_z [alpha * q_z psi(g_z)
                               + beta * (1 - q_z) psi(-g_z)].
 
-    One label with a length-K q_row gives a float; a vector of n labels
-    with an (n, K) q_row (row i for label i) gives the n losses, each row
-    validated and summed exactly as a single call would.
+    One label with length-K scores, weights and q_row gives a float. A
+    vector of n labels with an (n, K) q_row (row i for label i) gives the n
+    losses; scores and weights are then either shared length-K vectors or
+    (n, K) arrays, one row per label. Every row is validated and summed
+    exactly as a single call would.
 
     Cross-entropy mode is rejected: its coordinates are softmax-coupled and
     no closed per-class form applies.
@@ -282,31 +284,39 @@ def derived_supervised_loss(
         raise ValueError(
             f"true labels must be an integer vector, got {y.dtype} {y.shape}"
         )
-    if g.ndim != 1 or not (g.shape == w.shape == q.shape[1:]) or len(q) != len(y):
+    per_row = g.ndim == 2 and not single
+    if q.ndim != 2 or len(q) != len(y) or not (
+        g.shape == w.shape == (q.shape if per_row else q.shape[1:])
+    ):
         raise ValueError(
             f"shape mismatch: scores {g.shape}, weights {w.shape}, "
             f"q_row {q.shape[1:] if single else q.shape}"
         )
-    k = g.shape[0]
+    n, k = q.shape
     out_of_range = (y < 0) | (y >= k)
     if out_of_range.any():
         raise ValueError(
             f"true_label {y[out_of_range][0]} out of range for {k} classes"
         )
-    rows = np.arange(y.shape[0])
+    rows = np.arange(n)
     own = q[rows, y]
     if (own != 1.0).any():
         bad = own[own != 1.0][0]
         raise ValueError(f"q_row[true_label] must be exactly 1, got {bad}")
     others = np.arange(k) != y[:, None]
-    if (((q < 0.0) | (q >= 1.0)) & others).any():
+    # The range checks are written so that NaN fails them.
+    if (~((q >= 0.0) & (q < 1.0)) & others).any():
         raise ValueError("off-label inclusion probabilities must lie in [0, 1)")
+    if not (w >= 0.0).all():
+        raise ValueError("weights must be nonnegative")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
+    g = np.broadcast_to(g, q.shape)
+    w = np.broadcast_to(w, q.shape)
     pos = cfg.psi.value(g)
     neg = cfg.psi.value(-g)
     cross = w * (cfg.alpha * q * pos + cfg.beta * (1.0 - q) * neg)
     # Each row's off-label terms, contiguous, sum in the single-label order.
-    off_label = cross[others].reshape(y.shape[0], k - 1).sum(axis=1)
-    out = cfg.alpha * w[y] * pos[y] + off_label
+    off_label = cross[others].reshape(n, k - 1).sum(axis=1)
+    out = cfg.alpha * w[rows, y] * pos[rows, y] + off_label
     return float(out[0]) if single else out

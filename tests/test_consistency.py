@@ -544,3 +544,193 @@ def test_verify_json_line_is_pinned(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         '{"instances": 12855, "max_discrepancy": 3.552713678800501e-15, "pass": true}'
     )
+
+
+# NaN entries in the certifier's own checks
+
+
+def test_validate_posterior_rejects_nan():
+    with pytest.raises(ValueError, match="sum to 1"):
+        validate_posterior([np.nan, 0.5])
+    with pytest.raises(ValueError, match="sum to 1"):
+        validate_posterior([[0.5, 0.5], [np.nan, 1.0]])
+
+
+def test_coefficient_check_rejects_nan_rates_and_weights():
+    with pytest.raises(CheckNotApplicable):
+        theorem2_coefficient_check([1.0, 0.0], [0.9, 0.1], [1.0, np.nan], 1.0)
+    with pytest.raises(CheckNotApplicable):
+        theorem2_coefficient_check([1.0, 0.0], [0.9, np.nan], [1.0, 0.5], 1.0)
+    with pytest.raises(CheckNotApplicable):
+        theorem2_coefficient_check([1.0, 0.0], [np.nan, 0.1], [1.0, 0.5], 1.0)
+
+
+# the certifier in batches of instances, against one instance at a time
+
+
+def reference_certify_risk_equivalence(
+    instances, seed, k_values=(2, 3, 4, 5, 6, 7, 8),
+    betas=(0.0, 0.5, 1.0, 2.0, 7.3), alphas=(0.5, 1.0),
+):
+    """The certifier as it ran before batching: one instance, one label at a time."""
+    rng = make_rng(seed)
+    psis = (SIGMOID, RAMP, ZERO_ONE_STEP)
+    worst = (0.0, "no instances checked")
+    for i in range(instances):
+        k = k_values[i % len(k_values)]
+        psi = psis[i % 3]
+        cfg = LWConfig(beta=betas[i % len(betas)], alpha=alphas[i % len(alphas)], psi=psi)
+        g = rng.normal(0.0, 2.0, size=k)
+        p = rng.dirichlet(np.ones(k))
+        w = rng.random(k)
+        q = rng.random((k, k)) * 0.98
+        np.fill_diagonal(q, 1.0)
+        model = GenerationModel(q)
+        lhs = reference_partial_risk(g, p, model, w, cfg)
+        rhs = reference_supervised_risk(g, p, model, w, cfg)
+        gap = abs(lhs - rhs)
+        if gap > worst[0]:
+            worst = (
+                gap,
+                f"instance {i}: K={k}, psi={psi.name}, beta={cfg.beta}, "
+                f"alpha={cfg.alpha}, |lhs-rhs|={gap:.3e}",
+            )
+    return worst[0], instances, worst[1]
+
+
+def test_batched_certifier_equals_one_instance_at_a_time():
+    cases = [
+        (seed, instances, k_values)
+        for seed in (0, 1, 201)
+        for instances, k_values in ((40, (1,)), (420, (2, 3, 4, 5, 6, 7, 8)), (30, (9, 10)))
+    ]
+    cases.append((201, 1000, (2, 3, 4, 5, 6, 7, 8)))
+    for seed, instances, k_values in cases:
+        report = certify_risk_equivalence(instances, seed, k_values)
+        expected = reference_certify_risk_equivalence(instances, seed, k_values)
+        assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+    grid = dict(betas=(0.25, 3.0, 1.0), alphas=(0.1, 1.0, 2.5, 4.0))
+    for seed in (0, 201):
+        report = certify_risk_equivalence(300, seed, (2, 5, 7), **grid)
+        expected = reference_certify_risk_equivalence(300, seed, (2, 5, 7), **grid)
+        assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+
+
+def spy_on_batches(monkeypatch):
+    """Record the rows of every loss and set-probability call of the certifier."""
+    real_loss = lwpll.consistency.lw_loss_batch
+    real_probs = GenerationModel.subset_probabilities
+    calls = {"loss": [], "probs": []}
+
+    def loss(scores, candidates, weights, cfg):
+        calls["loss"].append(np.shape(scores))
+        return real_loss(scores, candidates, weights, cfg)
+
+    def probs(self, y, subsets):
+        out = real_probs(self, y, subsets)
+        calls["probs"].append(out.shape)
+        return out
+
+    monkeypatch.setattr(lwpll.consistency, "lw_loss_batch", loss)
+    monkeypatch.setattr(GenerationModel, "subset_probabilities", probs)
+    return calls
+
+
+def test_certifier_batches_share_one_loss_per_nonempty_set(monkeypatch):
+    calls = spy_on_batches(monkeypatch)
+    certify_risk_equivalence(1000, 201)
+    # 210 grid points, one batch each; 2^K - 1 loss rows per instance
+    assert len(calls["loss"]) == len(calls["probs"]) == 210
+    per_instance = [rows // (2**k - 1) for rows, k in calls["loss"]]
+    assert [rows % (2**k - 1) for rows, k in calls["loss"]] == [0] * 210
+    assert sum(per_instance) == 1000
+    for (n, rows), (loss_rows, k) in zip(calls["probs"], calls["loss"]):
+        assert loss_rows == n * (2**k - 1)
+        assert rows == k * 2 ** (k - 1)
+
+
+def test_certifier_batches_respect_the_row_cap(monkeypatch):
+    cap = lwpll.consistency.MAX_BATCH_ROWS
+    calls = spy_on_batches(monkeypatch)
+    # three grid points of 34, 33 and 33 instances at K = 8 (1024 rows each)
+    certify_risk_equivalence(100, 3, (8,), betas=(1.0,), alphas=(1.0,))
+    sizes = [n for n, _ in calls["probs"]]
+    assert sizes == [16] * 6 + [1, 1, 2]
+    assert all(n * rows <= cap for n, rows in calls["probs"])
+    assert sum(sizes) == 100
+    # from K = 11 on two instances exceed the cap: one instance per batch
+    assert 2 * 11 * 2**10 > cap
+    calls["loss"].clear()
+    calls["probs"].clear()
+    certify_risk_equivalence(6, 0, (12,))
+    assert calls["loss"] == [(4095, 12)] * 6
+    assert calls["probs"] == [(1, 12 * 2**11)] * 6
+
+
+def test_mutant_receives_batched_arguments_and_fails():
+    seen = []
+
+    def warped(y, g, w, q_row, cfg):
+        seen.append((np.shape(y), np.shape(g), np.shape(w), np.shape(q_row)))
+        bent = LWConfig(beta=cfg.beta + 0.1, alpha=cfg.alpha, psi=cfg.psi)
+        return derived_supervised_loss(y, g, w, q_row, bent)
+
+    report = certify_risk_equivalence(420, 2, derived_loss=warped)
+    assert not report.within(1e-10)
+    assert len(seen) == 210
+    for (rows,), g, w, q in seen:
+        assert g == w == q == (rows, q[1])
+        assert rows >= 2
+
+
+def test_stacked_risks_equal_each_instance():
+    rng = make_rng(239)
+    for k in range(1, 9):
+        for reject in (False, True) if k > 1 else (False,):
+            n = 4
+            q = rng.random((n, k, k)) * 0.98
+            q[rng.random((n, k, k)) < 0.15] = 0.0
+            q[:, np.arange(k), np.arange(k)] = 1.0
+            stack = GenerationModel(q, reject_full=reject)
+            p = rng.dirichlet(np.ones(k), size=n)
+            if k > 2:
+                p[0, :2] = 0.0
+                p[0] /= p[0].sum()
+            g = rng.normal(0.0, 2.0, size=(n, k))
+            w = rng.random((n, k))
+            cfg = LWConfig(beta=1.7, alpha=0.6, psi=(SIGMOID, RAMP, ZERO_ONE_STEP)[k % 3])
+            models = [GenerationModel(q[i], reject_full=reject) for i in range(n)]
+            lhs = partial_risk_bruteforce(g, p, stack, w, cfg)
+            assert lhs.tolist() == [
+                reference_partial_risk(g[i], p[i], models[i], w[i], cfg) for i in range(n)
+            ]
+            if not reject:
+                rhs = supervised_risk_direct(g, p, stack, w, cfg)
+                assert rhs.tolist() == [
+                    reference_supervised_risk(g[i], p[i], models[i], w[i], cfg)
+                    for i in range(n)
+                ]
+    with pytest.raises(ValueError, match="shape"):
+        partial_risk_bruteforce(
+            np.zeros((2, 3)), np.full((2, 3), 1 / 3), stack, np.ones((2, 3)), cfg
+        )
+
+
+VERIFY_SEED_201 = """\
+risk_equivalence: max_discrepancy=3.553e-15 tolerance=1e-10 instances=1000 pass
+  worst: instance 664: K=8, psi=ramp, beta=7.3, alpha=0.5, |lhs-rhs|=3.553e-15
+subset_normalization: max_discrepancy=2.220e-16 tolerance=1e-12 instances=100 pass
+  worst: model 14: K=7, y=1, sum=1.0000000000000002
+uniform_recovery: max_discrepancy=0.000e+00 tolerance=1e-12 instances=1755 pass
+  worst: no subsets checked
+coefficient_ordering: max_discrepancy=0.000e+00 tolerance=1 instances=10000 pass
+  worst: all instances ordered correctly
+{"instances": 12855, "max_discrepancy": 3.552713678800501e-15, "pass": true}
+"""
+
+
+def test_verify_full_output_is_pinned(capsys):
+    from lwpll.cli import main
+
+    assert main(["verify", "--trials", "1000", "--seed", "201"]) == 0
+    assert capsys.readouterr().out == VERIFY_SEED_201

@@ -273,3 +273,57 @@ def test_retry_cap_surfaces_degenerate_models(monkeypatch):
         m.sample_set(0, make_rng(1))
     with pytest.raises(RuntimeError):
         m.sample_sets(np.zeros(200, dtype=int), make_rng(1))
+
+
+# NaN entries and stacks of models
+
+
+def test_nan_off_diagonal_rate_is_rejected():
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        GenerationModel([[1.0, np.nan], [0.2, 1.0]])
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        GenerationModel([[[1.0, 0.1], [0.2, 1.0]], [[1.0, 0.1], [np.nan, 1.0]]])
+
+
+def test_stacked_model_validates_every_matrix():
+    good = np.array([[1.0, 0.3], [0.4, 1.0]])
+    for bad, message in (
+        ([[0.9, 0.3], [0.4, 1.0]], "exactly 1"),
+        ([[1.0, 1.0], [0.4, 1.0]], r"\[0, 1\)"),
+        ([[1.0, -0.1], [0.4, 1.0]], r"\[0, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GenerationModel(np.stack([good, good, bad]))
+    with pytest.raises(ValueError, match="square"):
+        GenerationModel(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        GenerationModel(np.ones((1, 2, 2, 2)))
+
+
+def test_stacked_subset_probabilities_equal_each_model():
+    rng = make_rng(241)
+    for k in range(1, 9):
+        for reject in (False, True) if k > 1 else (False,):
+            q = rng.random((5, k, k)) * 0.98
+            q[rng.random((5, k, k)) < 0.2] = 0.0
+            q[:, np.arange(k), np.arange(k)] = 1.0
+            stack = GenerationModel(q, reject_full=reject)
+            subsets = enumerate_subsets(k)
+            labels = rng.integers(k, size=subsets.shape[0])
+            for y in (labels, int(labels[0])):
+                probs = stack.subset_probabilities(y, subsets)
+                assert probs.shape == (5, subsets.shape[0])
+                for i in range(5):
+                    single = GenerationModel(q[i], reject_full=reject)
+                    assert np.array_equal(probs[i], single.subset_probabilities(y, subsets))
+
+
+def test_stacked_model_cannot_sample():
+    stack = GenerationModel(np.stack([make_uniform(3, 0.2).q] * 2))
+    rng = make_rng(0)
+    with pytest.raises(ValueError, match="stack"):
+        stack.sample_set(0, rng)
+    with pytest.raises(ValueError, match="stack"):
+        stack.sample_sets(np.array([0, 1]), rng)
+    with pytest.raises(ValueError, match="stack"):
+        stack.set_probability(0, [True, False, False])

@@ -370,3 +370,59 @@ def test_derived_loss_validation():
         derived_supervised_loss(0, g, w, np.array([1.0, 1.0, 0.5]), cfg)
     with pytest.raises(UnsupportedLossError):
         derived_supervised_loss(0, g, w, np.array([1.0, 0.5, 0.5]), LWConfig(beta=1.0, psi=CROSS_ENTROPY))
+
+
+# NaN inputs and per-row scores in the closed form
+
+
+def test_derived_loss_rejects_nan_off_label_rate():
+    cfg = LWConfig(beta=1.0, psi=SIGMOID)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        derived_supervised_loss(0, np.zeros(3), np.ones(3), [1.0, np.nan, 0.2], cfg)
+
+
+def test_derived_loss_checks_weights():
+    cfg = LWConfig(beta=1.0, psi=SIGMOID)
+    q = np.array([1.0, 0.3, 0.2])
+    for bad in (-0.5, np.nan):
+        w = np.array([1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            derived_supervised_loss(0, np.zeros(3), w, q, cfg)
+        with pytest.raises(ValueError, match="nonnegative"):
+            derived_supervised_loss(
+                np.array([0, 0]), np.zeros((2, 3)), np.stack([np.ones(3), w]),
+                np.stack([q, q]), cfg,
+            )
+
+
+def test_lw_loss_batch_rejects_nan_weights():
+    cfg = LWConfig(beta=1.0, psi=SIGMOID)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lw_loss_batch(
+            np.zeros((2, 3)), np.ones((2, 3), dtype=bool),
+            np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]]), cfg,
+        )
+
+
+def test_derived_loss_takes_one_score_and_weight_row_per_label():
+    rng = make_rng(251)
+    for k in range(1, 11):
+        n = 7
+        labels = rng.integers(k, size=n)
+        g = rng.normal(0.0, 2.0, size=(n, k))
+        w = rng.random((n, k))
+        q = rng.random((n, k)) * 0.98
+        q[np.arange(n), labels] = 1.0
+        for psi in BINARY_LOSSES.values():
+            cfg = LWConfig(beta=float(rng.random() * 4), alpha=0.7, psi=psi)
+            batch = derived_supervised_loss(labels, g, w, q, cfg)
+            assert batch.tolist() == [
+                derived_supervised_loss(int(labels[i]), g[i], w[i], q[i], cfg)
+                for i in range(n)
+            ]
+    cfg = LWConfig(beta=1.0, psi=SIGMOID)
+    with pytest.raises(ValueError, match="shape"):
+        derived_supervised_loss(np.array([0, 1]), np.zeros((3, 2)), np.ones((3, 2)),
+                                np.eye(2), cfg)
+    with pytest.raises(ValueError, match="shape"):
+        derived_supervised_loss(0, np.zeros((1, 2)), np.ones((1, 2)), [1.0, 0.5], cfg)
