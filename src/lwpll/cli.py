@@ -665,7 +665,7 @@ def cmd_verify(
     for name, report, tol in checks:
         passed = report.within(tol)
         ok = ok and passed
-        worst = max(worst, report.max_discrepancy)
+        worst = max(worst, report.max_discrepancy, key=consistency.severity)
         total += report.instances
         _say(
             quiet,

@@ -25,6 +25,17 @@ instances are checked one K at a time. All instances are drawn exactly as
 one-at-a-time checking would draw them, and every reported figure is
 bit-identical to it: the per-row arithmetic and reduction order are
 unchanged, and `math.fsum` is exact.
+
+The coefficient-ordering draws come from raw Philox words, one
+`random_raw` block per chunk of at most MAX_DRAW_WORDS words, decoded the
+way NumPy's Generator decodes them: `random()` is (word >> 11) 2^-53 and
+`integers(k)` maps a 32-bit half word x to (x k) >> 32 (Lemire), the low
+half of a fresh word first and the buffered high half on the next call. A
+rare rejected x (about k in 2^32) would shift every later word, so its
+chunk is redrawn with the Generator calls themselves from a saved state.
+
+A NaN discrepancy ranks above every number (`severity`), so a check that
+produces one reports it as its worst case and fails.
 """
 
 from __future__ import annotations
@@ -51,6 +62,12 @@ MAX_ENUMERATION_CLASSES = 16
 # does not grow with the instance count.
 MAX_BATCH_ROWS = 2**14
 
+# Bound on the raw 64-bit words one chunk of coefficient-ordering instances
+# draws at once (128 KiB), whatever the instance count.
+MAX_DRAW_WORDS = 2**14
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
 
 class CheckNotApplicable(ValueError):
     """A check's preconditions do not hold; the instance proves nothing."""
@@ -75,6 +92,16 @@ class ConsistencyReport:
 
     def within(self, tolerance: float) -> bool:
         return self.max_discrepancy < tolerance
+
+
+def severity(gap: float) -> tuple[bool, float]:
+    """Sort key for a discrepancy that ranks NaN above every number.
+
+    NaN compares false with everything, so a plain `gap > worst` would let a
+    check that produced NaN pass unseen; under this key it is the worst case.
+    """
+    nan = math.isnan(gap)
+    return (nan, 0.0 if nan else gap)
 
 
 def validate_posterior(p) -> np.ndarray:
@@ -376,10 +403,12 @@ def certify_risk_equivalence(
         lhs = partial_risk_bruteforce(g[:n], p[:n], model, w[:n], cfg)
         rhs = supervised_risk_direct(g[:n], p[:n], model, w[:n], cfg, derived_loss)
         # The first instance in draw order with the largest gap, as a
-        # one-at-a-time scan keeping strict improvements would report it.
+        # one-at-a-time scan keeping strict improvements would report it;
+        # a NaN gap is larger than any number.
         for r, gap in enumerate(np.abs(lhs - rhs).tolist()):
             index = i - (row - r) * period
-            if gap > worst[0] or (gap == worst[0] and index < worst[1]):
+            rank, worst_rank = severity(gap), severity(worst[0])
+            if rank > worst_rank or (rank == worst_rank and index < worst[1]):
                 worst = (gap, index)
     if worst[1] < 0:
         return ConsistencyReport(
@@ -410,7 +439,7 @@ def certify_subset_normalization(
         model = _random_model(rng.random((k, k)))
         y = int(rng.integers(k))
         report = lemma1_check(model, y)
-        if report.max_discrepancy > worst[0]:
+        if severity(report.max_discrepancy) > severity(worst[0]):
             worst = (report.max_discrepancy, f"model {i}: {report.worst_case}")
     return ConsistencyReport(
         max_discrepancy=worst[0], instances=models, worst_case=worst[1]
@@ -433,11 +462,90 @@ def certify_uniform_recovery(
             probs = model.subset_probabilities(y, proper)
             checked += proper.shape[0]
             gap = float(np.abs(probs - expected).max())
-            if gap > worst[0]:
+            if severity(gap) > severity(worst[0]):
                 worst = (gap, f"K={k}, y={y}, target={expected!r}")
     return ConsistencyReport(
         max_discrepancy=worst[0], instances=checked, worst_case=worst[1]
     )
+
+
+def _draw_one_at_a_time(rng, groups, period: int, start: int, stop: int) -> None:
+    """Draw coefficient-ordering instances start..stop-1 with one Generator
+    call each for the label, weights, rates and beta, instance i into row
+    i // period of group i % period."""
+    for i in range(start, stop):
+        k, y_star, w, q, u = groups[i % period]
+        row = i // period
+        y_star[row] = rng.integers(k)
+        rng.random(out=w[row])
+        rng.random(out=q[row])
+        u[row] = rng.random()
+
+
+def _draw_coefficient_instances(rng, groups, k_values, instances: int) -> None:
+    """Draw every coefficient-ordering instance exactly as
+    `_draw_one_at_a_time` would, from one raw block of Philox words per
+    chunk of instances.
+
+    A chunk is a run of whole rows of every group, at most MAX_DRAW_WORDS
+    words. The block is decoded as NumPy's Generator decodes the words of
+    its bit generator: a double is (word >> 11) 2^-53, and integers(k) for
+    2 <= k < 2^32 takes a 32-bit value x, the low half of a fresh word or
+    else the buffered high half of the last one, and returns (x k) >> 32
+    (Lemire's method); integers(1) draws nothing. Lemire's method rejects x
+    when the low 32 bits of x k fall below 2^32 mod k, and a redraw would
+    shift every later word; a chunk holding such an x is drawn again one
+    instance at a time from its saved generator state.
+    """
+    bits = rng.bit_generator
+    period = len(k_values)
+    ks = np.array(k_values, dtype=np.intp)
+    state = bits.state
+    # Whether the high half of the last fresh integer word is still unused.
+    buffered, high = bool(state["has_uint32"]), np.uint64(state["uinteger"])
+    step = period * max(1, MAX_DRAW_WORDS // int((2 * ks + 2).sum()))
+    for start in range(0, instances, step):
+        stop = min(start + step, instances)
+        saved = bits.state
+        k = ks[np.arange(stop - start) % period]
+        # The instances that draw an integer alternate between a fresh word
+        # and the buffered half; each instance takes 2K + 1 doubles after it.
+        drawn = np.flatnonzero(k >= 2)
+        fresh = np.zeros(k.shape, dtype=bool)
+        fresh[drawn[int(buffered) :: 2]] = True
+        words = 2 * k + 1 + fresh
+        first = np.cumsum(words) - words
+        raw = bits.random_raw(int(words.sum()))
+        # A buffered half is the high half of the previous draw's word, or
+        # for the chunk's first draw the one left over from before it.
+        previous = np.empty(drawn.shape, dtype=np.uint64)
+        previous[:1] = high
+        previous[1:] = raw[first[drawn[:-1]]] >> 32
+        x = np.where(fresh[drawn], raw[first[drawn]] & _LOW32, previous)
+        kx = k[drawn].astype(np.uint64)
+        x *= kx
+        if ((x & _LOW32) < 2**32 % kx).any():
+            saved["has_uint32"], saved["uinteger"] = int(buffered), int(high)
+            bits.state = saved
+            _draw_one_at_a_time(rng, groups, period, start, stop)
+            state = bits.state
+            buffered, high = bool(state["has_uint32"]), np.uint64(state["uinteger"])
+            continue
+        if drawn.shape[0]:
+            buffered = bool(fresh[drawn[-1]])
+            high = raw[first[drawn[-1]]] >> 32
+        labels = np.zeros(k.shape, dtype=np.intp)
+        labels[drawn] = x >> 32
+        doubles = (raw >> 11) * 2.0**-53
+        begin = first + fresh
+        for j, (kj, y_star, w, q, u) in enumerate(groups):
+            at = begin[j::period]
+            rows = slice(start // period, start // period + at.shape[0])
+            block = doubles[at[:, None] + np.arange(2 * kj + 1)]
+            y_star[rows] = labels[j::period]
+            w[rows] = block[:, :kj]
+            q[rows] = block[:, kj : 2 * kj]
+            u[rows] = block[:, 2 * kj]
 
 
 def certify_coefficient_ordering(
@@ -448,8 +556,9 @@ def certify_coefficient_ordering(
     """Randomized coefficient-ordering property under its preconditions.
 
     Instance i draws its label, weights, rates and beta in turn, into row
-    i // len(k_values) of the arrays for K = k_values[i % len(k_values)];
-    each group is then checked in one pass. Failures count as discrepancy
+    i // len(k_values) of the arrays for K = k_values[i % len(k_values)],
+    decoded from raw Philox blocks (`_draw_coefficient_instances`); each
+    group is then checked in one pass. Failures count as discrepancy
     1; a clean run reports 0, and the worst case names the first failure.
     """
     rng = make_rng(seed)
@@ -459,13 +568,7 @@ def certify_coefficient_ordering(
         n = len(range(j, instances, period))
         y_star = np.empty(n, dtype=np.intp)
         groups.append((k, y_star, np.empty((n, k)), np.empty((n, k)), np.empty(n)))
-    for i in range(instances):
-        k, y_star, w, q, u = groups[i % period]
-        row = i // period
-        y_star[row] = rng.integers(k)
-        rng.random(out=w[row])
-        rng.random(out=q[row])
-        u[row] = rng.random()
+    _draw_coefficient_instances(rng, groups, k_values, instances)
     failures = 0
     first = None
     for j, (k, y_star, w, q, u) in enumerate(groups):

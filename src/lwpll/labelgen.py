@@ -73,6 +73,12 @@ class GenerationModel:
         all-classes row under reject_full (whose mass is redistributed over
         the rest of that label's sets). One model gives an (m,) array; a
         stack of n models gives (n, m), row i for model i.
+
+        The product over classes is built one class column at a time,
+        z = 0..K-1, each factor gathered from a (1 - q, q) table. NumPy's
+        multiply reduction over the last axis of an (..., m, K) factor array
+        takes the factors in the same order, so the result is bit-identical
+        to that reduction without building the factor array.
         """
         masks = np.asarray(subsets, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.num_classes:
@@ -90,10 +96,19 @@ class GenerationModel:
             )
         elif ((labels < 0) | (labels >= self.num_classes)).any():
             raise ValueError("labels out of range")
-        labels = np.broadcast_to(labels, masks.shape[:1])
-        # q[y][y] = 1 makes the own-label factor 1 on rows that contain y.
-        rows = self.q[..., labels, :]
-        p = np.where(masks, rows, 1.0 - rows).prod(axis=-1)
+        labels = np.broadcast_to(np.asarray(labels, dtype=np.intp), masks.shape[:1])
+        # Row y of the table is (1 - q[y], q[y]), so the factor of class z in
+        # a row with label y is entry 2Ky + K + z (z in the set) or 2Ky + z
+        # (z not in it) of the flattened table. q[y][y] = 1 makes the
+        # own-label factor 1 on rows that contain y.
+        k = self.num_classes
+        table = np.concatenate([1.0 - self.q, self.q], axis=-1)
+        table = table.reshape(self.q.shape[:-2] + (2 * k * k,))
+        columns = np.arange(k)[:, None]
+        index = 2 * k * labels + np.where(masks.T, columns + k, columns)
+        p = table.take(index[0], axis=-1)
+        for column in index[1:]:
+            p *= table.take(column, axis=-1)
         p[..., ~masks[np.arange(masks.shape[0]), labels]] = 0.0
         if self.reject_full:
             p[..., masks.all(axis=1)] = 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lwpll.consistency
+import lwpll.rng
 from lwpll import (
     RAMP,
     SIGMOID,
@@ -734,3 +735,164 @@ def test_verify_full_output_is_pinned(capsys):
 
     assert main(["verify", "--trials", "1000", "--seed", "201"]) == 0
     assert capsys.readouterr().out == VERIFY_SEED_201
+
+
+# a NaN discrepancy is the worst case, never a pass
+
+
+def test_risk_equivalence_reports_a_nan_gap():
+    def nan_loss(*args):
+        return derived_supervised_loss(*args) * np.nan
+
+    report = certify_risk_equivalence(20, 0, derived_loss=nan_loss)
+    assert math.isnan(report.max_discrepancy)
+    assert not report.within(1e-10)
+    assert report.worst_case.startswith("instance 0: K=2,")
+
+    # NaN only for K = 5: the first such instance in draw order is 3, even
+    # though its batch is checked after batches holding later instances
+    def nan_at_k5(y, g, w, q_row, cfg):
+        out = derived_supervised_loss(y, g, w, q_row, cfg)
+        return out * np.nan if g.shape[1] == 5 else out
+
+    report = certify_risk_equivalence(1000, 201, derived_loss=nan_at_k5)
+    assert math.isnan(report.max_discrepancy)
+    assert report.worst_case.startswith("instance 3: K=5,")
+    assert report.worst_case.endswith("|lhs-rhs|=nan")
+
+
+def nan_probabilities_at(monkeypatch, k):
+    """Make subset_probabilities return NaN for every K-class model."""
+    real = GenerationModel.subset_probabilities
+
+    def probs(self, y, subsets):
+        out = real(self, y, subsets)
+        return out * np.nan if self.num_classes == k else out
+
+    monkeypatch.setattr(GenerationModel, "subset_probabilities", probs)
+
+
+def test_subset_normalization_reports_a_nan_gap(monkeypatch):
+    nan_probabilities_at(monkeypatch, 4)
+    report = certify_subset_normalization(models=20, seed=2, k_values=(2, 3, 4, 5))
+    assert math.isnan(report.max_discrepancy)
+    assert not report.within(1e-12)
+    assert report.worst_case.startswith("model 2: K=4,")
+
+
+def test_uniform_recovery_reports_a_nan_gap(monkeypatch):
+    nan_probabilities_at(monkeypatch, 5)
+    report = certify_uniform_recovery(k_values=(3, 4, 5, 6))
+    assert math.isnan(report.max_discrepancy)
+    assert not report.within(1e-12)
+    assert report.worst_case.startswith("K=5, y=0,")
+
+
+def test_verify_fails_and_prints_a_nan_discrepancy(monkeypatch, capsys):
+    from lwpll.cli import main
+
+    def nan_loss(*args):
+        return derived_supervised_loss(*args) * np.nan
+
+    monkeypatch.setattr(lwpll.consistency, "derived_supervised_loss", nan_loss)
+    assert main(["verify", "--trials", "20", "--seed", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("risk_equivalence: max_discrepancy=nan ")
+    assert out[0].endswith(" FAIL")
+    assert out[-1] == '{"instances": 11875, "max_discrepancy": NaN, "pass": false}'
+
+
+# coefficient-ordering draws decoded from raw Philox blocks
+
+
+def assert_draws_equal_reference(monkeypatch, instances, seed, k_values):
+    """The certifier's report and every drawn instance equal the reference's."""
+    batches = []
+
+    def spy(p, w, q, beta):
+        batches.append((p.copy(), w.copy(), q.copy(), np.array(beta)))
+        return theorem2_coefficient_check(p, w, q, beta)
+
+    monkeypatch.setattr(lwpll.consistency, "theorem2_coefficient_check", spy)
+    report = certify_coefficient_ordering(instances, seed, k_values)
+    drawn = []
+
+    def check(*args):
+        drawn.append(args)
+        return reference_coefficient_check(*args)
+
+    expected = reference_coefficient_ordering(instances, seed, k_values, check)
+    assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+    period = len(k_values)
+    assert [b[0].shape[0] for b in batches] == [
+        len(range(j, instances, period)) for j in range(min(instances, period))
+    ]
+    assert len(drawn) == max(instances, 0)
+    for i, (p, w, q, beta) in enumerate(drawn):
+        group = batches[i % period]
+        assert np.array_equal(group[0][i // period], p)
+        assert group[1][i // period].tobytes() == w.tobytes()
+        assert group[2][i // period].tobytes() == q.tobytes()
+        assert group[3][i // period] == beta
+
+
+def test_raw_draws_carry_a_buffered_half_across_chunks(monkeypatch):
+    # one row per chunk: three integer draws, so every other chunk starts
+    # with the high half of the previous chunk's last integer word
+    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
+    for seed in (0, 11):
+        assert_draws_equal_reference(monkeypatch, 301, seed, (2, 3, 4))
+    # four rows (15 draws) per chunk, a partial last chunk
+    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 4 * (6 + 8 + 10 + 12 + 14))
+    assert_draws_equal_reference(monkeypatch, 1003, 12, (2, 3, 4, 5, 6))
+
+
+def test_raw_draws_with_single_class_groups(monkeypatch):
+    # integers(1) draws no word and leaves the buffered half alone
+    assert_draws_equal_reference(monkeypatch, 500, 13, (1, 3, 1, 2, 1))
+    assert_draws_equal_reference(monkeypatch, 40, 14, (1,))
+    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
+    assert_draws_equal_reference(monkeypatch, 123, 15, (2, 1, 5))
+
+
+def test_raw_draws_with_fewer_instances_than_groups(monkeypatch):
+    for instances in (0, 1, 5):
+        assert_draws_equal_reference(monkeypatch, instances, 16, tuple(range(2, 11)))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        2**63,  # low half 0 is rejected for k = 3, the high half 2^31 accepted
+        2**31,  # low half accepted, high half 0 rejected by the next draw
+    ],
+)
+def test_raw_draws_redo_a_chunk_with_a_rejected_integer(monkeypatch, word):
+    # Philox serves its buffered words first, so a crafted buffer puts a
+    # chosen word at a chosen place: with K = (1, 3, 3), instance 0 reads
+    # three doubles and instance 1's integer takes the low half of word 3.
+    def crafted_rng(seed, stream=0):
+        rng = lwpll.rng.make_rng(seed, stream)
+        state = rng.bit_generator.state
+        state["buffer"] = np.array([2**63, 2**62, 2**61, word], dtype=np.uint64)
+        state["buffer_pos"] = 0
+        rng.bit_generator.state = state
+        return rng
+
+    redone = []
+    real_redo = lwpll.consistency._draw_one_at_a_time
+
+    def redo(rng, groups, period, start, stop):
+        redone.append((start, stop))
+        real_redo(rng, groups, period, start, stop)
+
+    monkeypatch.setattr(lwpll.consistency, "make_rng", crafted_rng)
+    monkeypatch.setitem(globals(), "make_rng", crafted_rng)
+    monkeypatch.setattr(lwpll.consistency, "_draw_one_at_a_time", redo)
+    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
+    assert_draws_equal_reference(monkeypatch, 200, 17, (1, 3, 3))
+    assert redone == [(0, 3)]
+    redone.clear()
+    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 2**14)
+    assert_draws_equal_reference(monkeypatch, 200, 17, (1, 3, 3))
+    assert redone == [(0, 200)]

@@ -327,3 +327,40 @@ def test_stacked_model_cannot_sample():
         stack.sample_sets(np.array([0, 1]), rng)
     with pytest.raises(ValueError, match="stack"):
         stack.set_probability(0, [True, False, False])
+
+
+# the column-at-a-time product against the literal factor reduction
+
+
+def literal_subset_probabilities(model, labels, masks):
+    """The set probabilities as one multiply reduction over (..., m, K)."""
+    k = model.num_classes
+    labels = np.broadcast_to(labels, masks.shape[:1])
+    rows = model.q[..., labels, :]
+    p = np.where(masks, rows, 1.0 - rows).prod(axis=-1)
+    p[..., ~masks[np.arange(masks.shape[0]), labels]] = 0.0
+    if model.reject_full:
+        p[..., masks.all(axis=1)] = 0.0
+        off = model.q[..., ~np.eye(k, dtype=bool)].reshape(model.q.shape[:-1] + (k - 1,))
+        p /= 1.0 - off.prod(axis=-1)[..., labels]
+    return p
+
+
+def test_subset_probabilities_are_bit_identical_to_the_literal_product():
+    rng = make_rng(241)
+    for k in range(1, 17):
+        masks = rng.random((600, k)) < rng.random((600, 1))
+        masks[0], masks[1] = False, True  # the empty and the full set
+        labels = rng.integers(k, size=600)
+        masks[2::3, :][np.arange(200), labels[2::3]] = True
+        for shape in ((k, k), (3, k, k)):
+            q = rng.random(shape) * 0.98
+            q[rng.random(shape) < 0.15] = 0.0
+            q[..., np.arange(k), np.arange(k)] = 1.0
+            for reject in (False, True) if k > 1 else (False,):
+                model = GenerationModel(q, reject_full=reject)
+                for y in (labels, labels.astype(np.uint8), k - 1):
+                    got = model.subset_probabilities(y, masks)
+                    expected = literal_subset_probabilities(model, y, masks)
+                    assert got.shape == expected.shape == shape[:-2] + (600,)
+                    assert got.tobytes() == expected.tobytes()
