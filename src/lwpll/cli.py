@@ -9,10 +9,16 @@ artifacts land under ``<output.dir>/<fingerprint>/`` and every metrics file
 carries the fingerprint, so identical fingerprints mean byte-identical
 metrics. Wall-clock timings go to the manifest, never into metrics CSVs.
 
+A run directory appears whole or not at all: it is built in a hidden stage
+``<output.dir>/.<fingerprint>.*``, finished with ``manifest.json`` and then
+renamed into place. A failure removes the stage, so a failed rerun keeps
+the previous directory. Bad input exits 2; a diverged run exits 1.
+
 Sweeps pair runs across loss settings: for a given seed the corpus, the
 candidate sets, the parameter init, and the shuffle order are identical for
 every (alpha, beta) variant; the logged first-batch indices prove it.
-``LW_THREADS`` (default 1) caps worker processes for sweep runs.
+``train`` is a one-variant sweep. ``LW_THREADS`` (default 1) caps worker
+processes for the runs.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +67,8 @@ UNIFORM_RECOVERY_TOL = 1e-12
 _TRAINABLE_PSI = ("sigmoid", "ramp", "cross_entropy")
 _DEFAULT_SWEEP_BETAS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 ABLATION_VARIANTS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+_TEST_SET_KEY = {"gaussian": "gaussian.test_n", "csv": "dataset.test_csv",
+                 "idx": "dataset.test_images"}
 
 
 class ConfigError(ValueError):
@@ -173,6 +184,13 @@ class ExperimentConfig:
         self.values = values
 
     @classmethod
+    def from_values(cls, values: dict) -> "ExperimentConfig":
+        """Config over already-typed values, one for every schema key."""
+        cfg = cls.__new__(cls)
+        cfg.values = values
+        return cfg
+
+    @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls(parse_config_text(fh.read()))
@@ -181,9 +199,7 @@ class ExperimentConfig:
         return self.values[key]
 
     def override(self, **pairs) -> "ExperimentConfig":
-        clone = ExperimentConfig({})
-        clone.values = {**self.values, **pairs}
-        return clone
+        return ExperimentConfig.from_values({**self.values, **pairs})
 
     def normalized_lines(self, extra: dict | None = None) -> list[str]:
         """Canonical `key=value` lines (sorted, output.dir excluded)."""
@@ -269,18 +285,6 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
     return train_ds, test_ds
 
 
-def _shared_source(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None] | None:
-    """The source every run of one command reads, or None for a gaussian source.
-
-    CSV and IDX sources do not depend on the run seed, so a command reads
-    them once and hands the datasets to each run; gaussian data is drawn
-    per seed inside the run.
-    """
-    if cfg["dataset.kind"] == "gaussian":
-        return None
-    return _load_source(cfg, seed_shift=0)
-
-
 def _prepare_run(
     cfg: ExperimentConfig, seed: int, source: tuple[Dataset, Dataset | None] | None
 ) -> tuple[Dataset, Dataset | None]:
@@ -306,22 +310,6 @@ def _prepare_run(
         else:
             train_ds, test_ds = standardize(train_ds, test_ds)
     return train_ds, test_ds
-
-
-def _lw_config(cfg: ExperimentConfig, alpha: float, beta: float) -> LWConfig:
-    return LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"]))
-
-
-def _trainer_config(cfg: ExperimentConfig, seed: int) -> TrainerConfig:
-    return TrainerConfig(
-        learning_rate=cfg["trainer.learning_rate"],
-        epochs=cfg["trainer.epochs"],
-        batch_size=cfg["trainer.batch_size"],
-        momentum=cfg["trainer.momentum"],
-        weight_decay=cfg["trainer.weight_decay"],
-        lr_halving_period=cfg["trainer.lr_halving_period"],
-        seed=seed,
-    )
 
 
 def _write_metrics_csv(path: str, fingerprint: str, metrics, test_accuracy) -> None:
@@ -350,30 +338,37 @@ class RunOutcome:
     wall_clock_seconds: float
 
 
-def _execute_run(values: dict, alpha: float, beta: float, seed: int, run_dir: str,
-                 fingerprint: str, tag: str,
+def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
+                 run_dir: str, fingerprint: str,
                  source: tuple[Dataset, Dataset | None] | None) -> RunOutcome:
     """One deterministic training run; writes its metrics CSV and checkpoint.
 
     `source` is the command's shared (train, test) pair, or None to load
     the source for this seed.
     """
-    cfg = ExperimentConfig({})
-    cfg.values = values
     started = time.perf_counter()
     train_ds, test_ds = _prepare_run(cfg, seed, source)
     result = train(
         train_ds,
-        _lw_config(cfg, alpha, beta),
-        _trainer_config(cfg, seed),
+        LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"])),
+        TrainerConfig(
+            learning_rate=cfg["trainer.learning_rate"],
+            epochs=cfg["trainer.epochs"],
+            batch_size=cfg["trainer.batch_size"],
+            momentum=cfg["trainer.momentum"],
+            weight_decay=cfg["trainer.weight_decay"],
+            lr_halving_period=cfg["trainer.lr_halving_period"],
+            seed=seed,
+        ),
         arch=cfg["model.arch"],
         hidden=cfg["model.hidden"],
         val_fraction=cfg["trainer.val_fraction"],
         per_batch_weight_update=cfg["trainer.per_batch_weight_update"],
     )
     test_acc = accuracy(result.params, test_ds) if test_ds is not None else None
-    metrics_path = os.path.join(run_dir, f"metrics_{tag}seed{seed}.csv")
-    checkpoint_path = os.path.join(run_dir, f"checkpoint_{tag}seed{seed}.bin")
+    os.makedirs(run_dir, exist_ok=True)
+    metrics_path = os.path.join(run_dir, f"metrics_seed{seed}.csv")
+    checkpoint_path = os.path.join(run_dir, f"checkpoint_seed{seed}.bin")
     _write_metrics_csv(metrics_path, fingerprint, result.metrics, test_acc)
     save_checkpoint(result.params, checkpoint_path)
     return RunOutcome(
@@ -389,10 +384,6 @@ def _execute_run(values: dict, alpha: float, beta: float, seed: int, run_dir: st
     )
 
 
-def _execute_run_spec(spec) -> RunOutcome:
-    return _execute_run(*spec)
-
-
 def _worker_count() -> int:
     """Worker processes allowed by LW_THREADS (default 1); must be >= 1."""
     text = os.environ.get("LW_THREADS", "1")
@@ -405,11 +396,54 @@ def _worker_count() -> int:
     return workers
 
 
-def _run_all(specs: list, workers: int) -> list[RunOutcome]:
-    if workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_execute_run_spec, specs))
-    return [_execute_run_spec(spec) for spec in specs]
+@contextmanager
+def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
+    """Yield (stage, publish): the one writer of <output.dir>/<fp>.
+
+    Artifacts go into `stage`, a hidden `.<fp>.*` directory in output.dir.
+    `publish(body)` writes manifest.json last, with the fingerprint, command
+    and config added to `body`, then renames the stage to <output.dir>/<fp>,
+    replacing an earlier run's directory. Leaving the block unpublished
+    removes the stage, and output.dir if this call made it.
+    """
+    out_dir = cfg["output.dir"]
+    made_out_dir = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{fp}.", dir=out_dir)
+    # mkdtemp makes the stage private (0700); give it the mode os.mkdir would.
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(stage, 0o777 & ~umask)
+
+    def publish(body: dict) -> None:
+        manifest = {**body, "fingerprint": fp, "command": command, "config": cfg.values}
+        with open(os.path.join(stage, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+        final, retired = os.path.join(out_dir, fp), stage + ".old"
+        if os.path.isdir(final):
+            os.replace(final, retired)
+        os.replace(stage, final)
+        shutil.rmtree(retired, ignore_errors=True)
+
+    try:
+        yield stage, publish
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)  # already gone once published
+        if made_out_dir:
+            with suppress(OSError):  # only an empty output.dir is removed
+                os.rmdir(out_dir)
+
+
+def _run_record(out: RunOutcome, stage: str) -> dict:
+    """The manifest entry of one run, file names relative to the run directory."""
+    return {
+        "seed": out.seed,
+        "test_accuracy": out.test_accuracy,
+        "first_batch_indices": out.first_batch_indices,
+        "wall_clock_seconds": out.wall_clock_seconds,
+        "metrics": os.path.relpath(out.metrics_path, stage),
+    }
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -424,90 +458,88 @@ def cmd_generate(cfg: ExperimentConfig, quiet: bool = False) -> int:
     if cfg["generation.kind"] == "none":
         raise ConfigError("cmd generate needs a generation model")
     fp = cfg.fingerprint(extra={"command": "generate"})
-    run_dir = os.path.join(cfg["output.dir"], fp)
-    os.makedirs(run_dir, exist_ok=True)
     train_ds, test_ds = _load_source(cfg, seed_shift=0)
     model = _generation_model(cfg, train_ds.num_classes)
     masks = model.sample_sets(
         train_ds.true_labels, make_rng(cfg["generation.seed"], stream=0)
     )
     corpus = with_candidates(train_ds, masks)
-    corpus_path = os.path.join(run_dir, "corpus.csv")
-    save_partial_csv(corpus, corpus_path)
-    paths = {"corpus": corpus_path}
+    files = {"corpus": (corpus, "corpus.csv")}
     if test_ds is not None:
         test_masks = np.zeros((len(test_ds), test_ds.num_classes), dtype=bool)
         test_masks[np.arange(len(test_ds)), test_ds.true_labels] = True
-        test_path = os.path.join(run_dir, "test.csv")
-        save_partial_csv(with_candidates(test_ds, test_masks), test_path)
-        paths["test"] = test_path
+        files["test"] = (with_candidates(test_ds, test_masks), "test.csv")
+    run_dir = os.path.join(cfg["output.dir"], fp)
     sizes = masks.sum(axis=1)
     histogram = {int(s): int(c) for s, c in zip(*np.unique(sizes, return_counts=True))}
-    manifest = {
-        "fingerprint": fp,
-        "command": "generate",
-        "config": {k: cfg.values[k] for k in sorted(cfg.values)},
-        "generation_seed": cfg["generation.seed"],
-        "q_matrix_sha256": hashlib.sha256(
-            np.ascontiguousarray(model.q, dtype="<f8").tobytes()
-        ).hexdigest(),
-        "set_size_histogram": histogram,
-        "mean_set_size": float(sizes.mean()),
-        "paths": paths,
-    }
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    with _run_directory(cfg, fp, "generate") as (stage, publish):
+        for dataset, name in files.values():
+            save_partial_csv(dataset, os.path.join(stage, name))
+        publish({
+            "generation_seed": cfg["generation.seed"],
+            "q_matrix_sha256": hashlib.sha256(
+                np.ascontiguousarray(model.q, dtype="<f8").tobytes()
+            ).hexdigest(),
+            "set_size_histogram": histogram,
+            "mean_set_size": float(sizes.mean()),
+            "paths": {key: os.path.join(run_dir, name) for key, (_, name) in files.items()},
+        })
     _say(quiet, f"generate {fp}: {len(corpus)} rows, mean set size {sizes.mean():.3f}")
-    _say(quiet, f"  corpus: {corpus_path}")
+    _say(quiet, f"  corpus: {os.path.join(run_dir, 'corpus.csv')}")
+    return 0
+
+
+def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
+                    manifest_body, fp_extra: dict | None = None) -> int:
+    """The run loop of `train` and `sweep`: every seed of every (label,
+    alpha, beta) variant trains into subdirectory `label`, in LW_THREADS
+    processes. A seed's first batch must match across variants (the paired
+    design). The manifest body is `manifest_body(stage, fp, outcomes)`; a
+    diverged run or broken pairing publishes nothing and exits 1.
+    """
+    workers = _worker_count()
+    fp = cfg.fingerprint(extra=fp_extra)
+    # CSV and IDX sources do not depend on the seed: read them once for all
+    # runs. Gaussian data is drawn per seed inside each run.
+    source = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, seed_shift=0)
+    with _run_directory(cfg, fp, command) as (stage, publish):
+        specs = [(cfg, alpha, beta, seed, os.path.join(stage, label), fp, source)
+                 for label, alpha, beta in variants for seed in cfg["seeds"]]
+        try:
+            if workers > 1 and len(specs) > 1:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(pool.map(_execute_run, *zip(*specs)))
+            else:
+                outcomes = [_execute_run(*spec) for spec in specs]
+        except TrainingDiverged as exc:
+            print(f"error: {command} {fp} diverged: {exc}", file=sys.stderr)
+            return 1
+        reference: dict[int, list[int]] = {}
+        for out in outcomes:
+            if reference.setdefault(out.seed, out.first_batch_indices) != out.first_batch_indices:
+                print(f"error: {command} {fp} broke pairing at seed {out.seed} "
+                      f"(alpha={out.alpha}, beta={out.beta})", file=sys.stderr)
+                return 1
+        publish(manifest_body(stage, fp, outcomes))
     return 0
 
 
 def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Train once per seed; metrics CSV and checkpoint per run, one manifest."""
-    workers = _worker_count()
-    fp = cfg.fingerprint()
-    run_dir = os.path.join(cfg["output.dir"], fp)
-    source = _shared_source(cfg)
-    os.makedirs(run_dir, exist_ok=True)
-    alpha, beta = cfg["loss.alpha"], cfg["loss.beta"]
-    specs = [
-        (cfg.values, alpha, beta, seed, run_dir, fp, "", source) for seed in cfg["seeds"]
-    ]
-    try:
-        outcomes = _run_all(specs, workers)
-    except TrainingDiverged as exc:
-        print(f"error: run {fp} diverged: {exc}", file=sys.stderr)
-        return 1
-    runs = []
-    for out in outcomes:
-        runs.append(
-            {
-                "seed": out.seed,
-                "test_accuracy": out.test_accuracy,
-                "final_risk": out.final_risk,
-                "first_batch_indices": out.first_batch_indices,
-                "wall_clock_seconds": out.wall_clock_seconds,
-                "metrics": os.path.basename(out.metrics_path),
-                "checkpoint": os.path.basename(out.checkpoint_path),
-            }
-        )
-        shown = "n/a" if out.test_accuracy is None else f"{out.test_accuracy:.4f}"
-        _say(
-            quiet,
-            f"train {fp} seed {out.seed}: test_accuracy={shown} "
-            f"({out.wall_clock_seconds:.2f}s)",
-        )
-    manifest = {
-        "fingerprint": fp,
-        "command": "train",
-        "config": {k: cfg.values[k] for k in sorted(cfg.values)},
-        "runs": runs,
-    }
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return 0
+
+    def manifest_body(stage: str, fp: str, outcomes: list[RunOutcome]) -> dict:
+        for out in outcomes:
+            shown = "n/a" if out.test_accuracy is None else f"{out.test_accuracy:.4f}"
+            _say(quiet, f"train {fp} seed {out.seed}: test_accuracy={shown} "
+                        f"({out.wall_clock_seconds:.2f}s)")
+        return {"runs": [
+            {**_run_record(out, stage), "final_risk": out.final_risk,
+             "checkpoint": os.path.relpath(out.checkpoint_path, stage)}
+            for out in outcomes
+        ]}
+
+    variant = ("", cfg["loss.alpha"], cfg["loss.beta"])
+    return _train_variants(cfg, "train", [variant], manifest_body)
 
 
 def _sweep_variants(betas, ablation: bool):
@@ -523,81 +555,37 @@ def cmd_sweep(
     quiet: bool = False,
 ) -> int:
     """Paired runs across loss variants with a mean/std summary table."""
-    workers = _worker_count()
     betas = tuple(betas) if betas is not None else _DEFAULT_SWEEP_BETAS
     variants = _sweep_variants(betas, ablation)
-    fp = cfg.fingerprint(
-        extra={"sweep": "ablation" if ablation else ",".join(repr(b) for b in betas)}
-    )
-    run_dir = os.path.join(cfg["output.dir"], fp)
-    source = _shared_source(cfg)
-    has_test = cfg["gaussian.test_n"] > 0 if source is None else source[1] is not None
-    if not has_test:
+    if not cfg[_TEST_SET_KEY[cfg["dataset.kind"]]]:
         raise ConfigError("sweep needs a test set to summarize accuracy")
-    specs = []
-    for label, alpha, beta in variants:
-        variant_dir = os.path.join(run_dir, label)
-        os.makedirs(variant_dir, exist_ok=True)
-        for seed in cfg["seeds"]:
-            specs.append((cfg.values, alpha, beta, seed, variant_dir, fp, "", source))
-    try:
-        outcomes = _run_all(specs, workers)
-    except TrainingDiverged as exc:
-        print(f"error: sweep {fp} diverged: {exc}", file=sys.stderr)
-        return 1
-    by_variant: dict[tuple[float, float], list[RunOutcome]] = {}
-    for out in outcomes:
-        by_variant.setdefault((out.alpha, out.beta), []).append(out)
-    # Paired design: a seed's first batch must be identical in every variant.
-    reference: dict[int, list[int]] = {}
-    for out in outcomes:
-        if out.seed not in reference:
-            reference[out.seed] = out.first_batch_indices
-        elif reference[out.seed] != out.first_batch_indices:
-            print(
-                f"error: sweep {fp} broke pairing at seed {out.seed} "
-                f"(alpha={out.alpha}, beta={out.beta})",
-                file=sys.stderr,
-            )
-            return 1
-    summary_path = os.path.join(run_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fingerprint={fp}\n")
-        fh.write("variant,alpha,beta,mean_test_accuracy,std_test_accuracy,seeds\n")
-        for label, alpha, beta in variants:
-            accs = [o.test_accuracy for o in by_variant[(alpha, beta)]]
-            mean = float(np.mean(accs))
-            std = float(np.std(accs))
-            fh.write(f"{label},{alpha!r},{beta!r},{mean!r},{std!r},{len(accs)}\n")
-            _say(quiet, f"sweep {fp} {label}: {mean:.4f} +- {std:.4f}")
-    manifest = {
-        "fingerprint": fp,
-        "command": "sweep",
-        "config": {k: cfg.values[k] for k in sorted(cfg.values)},
-        "variants": [
-            {
-                "label": label,
-                "alpha": alpha,
-                "beta": beta,
-                "runs": [
-                    {
-                        "seed": o.seed,
-                        "test_accuracy": o.test_accuracy,
-                        "first_batch_indices": o.first_batch_indices,
-                        "wall_clock_seconds": o.wall_clock_seconds,
-                        "metrics": os.path.relpath(o.metrics_path, run_dir),
-                    }
+
+    def manifest_body(stage: str, fp: str, outcomes: list[RunOutcome]) -> dict:
+        by_variant: dict[tuple[float, float], list[RunOutcome]] = {}
+        for out in outcomes:
+            by_variant.setdefault((out.alpha, out.beta), []).append(out)
+        with open(os.path.join(stage, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# fingerprint={fp}\n")
+            fh.write("variant,alpha,beta,mean_test_accuracy,std_test_accuracy,seeds\n")
+            for label, alpha, beta in variants:
+                accs = [o.test_accuracy for o in by_variant[(alpha, beta)]]
+                mean = float(np.mean(accs))
+                std = float(np.std(accs))
+                fh.write(f"{label},{alpha!r},{beta!r},{mean!r},{std!r},{len(accs)}\n")
+                _say(quiet, f"sweep {fp} {label}: {mean:.4f} +- {std:.4f}")
+        return {
+            "variants": [
+                {"label": label, "alpha": alpha, "beta": beta, "runs": [
+                    _run_record(o, stage)
                     for o in sorted(by_variant[(alpha, beta)], key=lambda o: o.seed)
-                ],
-            }
-            for label, alpha, beta in variants
-        ],
-        "summary": os.path.basename(summary_path),
-    }
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return 0
+                ]}
+                for label, alpha, beta in variants
+            ],
+            "summary": "summary.csv",
+        }
+
+    sweep_key = "ablation" if ablation else ",".join(repr(b) for b in betas)
+    return _train_variants(cfg, "sweep", variants, manifest_body, {"sweep": sweep_key})
 
 
 def cmd_verify(

@@ -12,11 +12,11 @@ derives from the trainer seed, so runs replay bit for bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, take
+from .data import Dataset, split_indices, take
 from .losses import LWConfig, lw_loss_batch, lw_loss_gradient_batch
 from .rng import make_rng
 from .weights import WeightState, init_weights, update_weights
@@ -33,15 +33,26 @@ _STREAM_SPLIT = 2
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries epoch, batch, and learning rate."""
+    """Loss or scores became non-finite; carries epoch, batch, and learning rate."""
 
     def __init__(self, epoch: int, batch: int, lr: float):
         self.epoch = epoch
         self.batch = batch
         self.lr = lr
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}, lr {lr:g}"
+            f"non-finite loss or scores at epoch {epoch}, batch {batch}, lr {lr:g}"
         )
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the error crosses a process boundary.
+        return type(self), (self.epoch, self.batch, self.lr)
+
+
+def _finite(values, epoch: int, batch: int, lr: float):
+    """`values` unchanged, or TrainingDiverged if any entry is non-finite."""
+    if not np.isfinite(values).all():
+        raise TrainingDiverged(epoch=epoch, batch=batch, lr=lr)
+    return values
 
 
 @dataclass
@@ -248,7 +259,9 @@ def train(
     loop, touching only the visited rows. Accuracy columns are NaN when true
     labels are absent (or, for validation, when the split is empty).
 
-    Raises TrainingDiverged the moment a batch loss is non-finite.
+    Raises TrainingDiverged the moment a batch loss or any scores are
+    non-finite, including the scores a weight refresh reads after the last
+    step of an epoch; a `val_fraction` outside [0, 1) raises ValueError.
     """
     if dataset.partial_masks is None:
         raise ValueError("training needs candidate masks")
@@ -258,10 +271,7 @@ def train(
     else:
         params = params.copy()
 
-    n = len(dataset)
-    perm = make_rng(tcfg.seed, _STREAM_SPLIT).permutation(n)
-    n_val = int(val_fraction * n)
-    train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
+    train_idx, val_idx = split_indices(len(dataset), val_fraction, tcfg.seed, _STREAM_SPLIT)
     train_ds, val_ds = take(dataset, train_idx), take(dataset, val_idx)
     n_train = len(train_ds)
     if n_train == 0:
@@ -284,14 +294,9 @@ def train(
             x = train_ds.features[rows]
             masks = train_ds.partial_masks[rows]
             w = state.w[rows]
-            scores = forward(params, x)
-            if not np.isfinite(scores).all():
-                raise TrainingDiverged(epoch=epoch, batch=batch_no, lr=lr)
+            scores = _finite(forward(params, x), epoch, batch_no, lr)
             losses = lw_loss_batch(scores, masks, w, lw)
-            batch_loss = float(losses.sum())
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(epoch=epoch, batch=batch_no, lr=lr)
-            loss_sum += batch_loss
+            loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
             upstream = lw_loss_gradient_batch(scores, masks, w, lw) / rows.shape[0]
             grads = backward(params, x, upstream)
             for layer, vel, (gw, gb) in zip(params.layers, velocity, grads):
@@ -304,9 +309,10 @@ def train(
                 layer.b -= lr * vb
             if per_batch_weight_update:
                 sub = WeightState(w=state.w[rows], masks=masks)
-                state.w[rows] = update_weights(sub, forward(params, x)).w
+                refreshed = _finite(forward(params, x), epoch, batch_no, lr)
+                state.w[rows] = update_weights(sub, refreshed).w
 
-        train_scores = forward(params, train_ds.features)
+        train_scores = _finite(forward(params, train_ds.features), epoch, batch_no, lr)
         if not per_batch_weight_update:
             state = update_weights(state, train_scores)
         train_acc = float("nan")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -422,3 +423,82 @@ def test_bad_lw_threads_fails_before_any_run_directory(tmp_path, capsys, monkeyp
             assert main(command + ["--config", cfg_path, "--quiet"]) == 2
             assert "LW_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# failed runs publish nothing
+
+
+def write_huge_feature_csvs(tmp_path):
+    """A labeled corpus and test set whose 1e200 features make training overflow."""
+    rows = "".join(f"1e200,1e200,{i % 3}|{(i + 1) % 3},{i % 3}\n" for i in range(40))
+    (tmp_path / "huge.csv").write_text("f0,f1,candidates,true_label\n" + rows)
+    (tmp_path / "huge_test.csv").write_text(
+        "f0,f1,candidates,true_label\n1e200,1e200,0,0\n1e200,1e200,1,1\n"
+    )
+    return (
+        f"dataset.kind = csv\ndataset.csv = {tmp_path / 'huge.csv'}\n"
+        f"dataset.test_csv = {tmp_path / 'huge_test.csv'}\n"
+        "loss.psi = cross_entropy\ntrainer.epochs = 2\nseeds = 0,1\n"
+    )
+
+
+FAILURES = {  # command, config text (None: overflowing CSV), exit status, message
+    "generate_bad_q": (
+        ["generate"], BASE_CONFIG.replace("generation.q = 0.3", "generation.q = 1.5"),
+        2, "q must lie in [0, 1)",
+    ),
+    "train_bad_val_fraction": (
+        ["train"], BASE_CONFIG + "trainer.val_fraction = 1.5\n", 2, "val_fraction must lie",
+    ),
+    "train_diverges": (["train"], None, 1, "diverged"),
+    "sweep_diverges": (["sweep", "--beta", "0,1"], None, 1, "diverged"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failed_command_leaves_no_run_directory(tmp_path, capsys, case):
+    command, text, status, message = FAILURES[case]
+    out = tmp_path / "out"
+    text = write_huge_feature_csvs(tmp_path) if text is None else text
+    cfg_path = write_config(tmp_path, text, **{"output.dir": out})
+    assert main(command + ["--config", cfg_path, "--quiet"]) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    # Neither a <fingerprint> directory nor a .<fingerprint>.* stage.
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_rerun_keeps_the_previous_run_directory(tmp_path):
+    gen_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "gen"})
+    assert main(["generate", "--config", gen_path, "--quiet"]) == 0
+    gen_dir = next((tmp_path / "gen").iterdir())
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes((gen_dir / "corpus.csv").read_bytes())
+    csv_config = (
+        f"dataset.kind = csv\ndataset.csv = {corpus}\n"
+        f"dataset.test_csv = {gen_dir / 'test.csv'}\n"
+        "loss.psi = cross_entropy\ntrainer.epochs = 2\nseeds = 0,1\n"
+    )
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, csv_config, **{"output.dir": out})
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 0
+    names = sorted(os.listdir(out))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    # Published directories get the mode os.mkdir gives, not the stage's 0700.
+    assert len({stat.S_IMODE(p.stat().st_mode) for p in [out, *out.rglob("*")] if p.is_dir()}) == 1
+    # train: 2 metrics, 2 checkpoints, manifest; sweep: 2 variants x 4 + summary, manifest
+    assert len(names) == 2 and len(before) == 5 + 10
+    # The fingerprint names the corpus path, not its bytes: the same runs,
+    # rerun on overflowing features, diverge and must publish nothing.
+    lines = corpus.read_text().splitlines()
+    corpus.write_text(
+        "\n".join([lines[0]] + ["1e200,1e200," + line.split(",", 2)[2] for line in lines[1:]])
+        + "\n"
+    )
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 1
+    assert sorted(os.listdir(out)) == names
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before

@@ -1,5 +1,7 @@
 """Score networks, the trainer, and checkpoint serialization."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -395,3 +397,38 @@ def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("per_batch", [False, True])
+def test_train_divergence_after_the_last_step_raises_with_location(per_batch):
+    # One batch, one epoch: the step itself is finite, but the scores the
+    # weight refresh reads afterwards overflow.
+    x = np.full((8, 3), 1e200)
+    y = np.arange(8) % 3
+    masks = np.zeros((8, 3), dtype=bool)
+    masks[np.arange(8), y] = True
+    ds = Dataset(features=x, num_classes=3, true_labels=y, partial_masks=masks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as info:
+            train(
+                ds,
+                LWConfig(beta=1.0, psi=CROSS_ENTROPY),
+                TrainerConfig(learning_rate=0.5, epochs=1, batch_size=16, seed=0),
+                per_batch_weight_update=per_batch,
+            )
+    err = info.value
+    assert (err.epoch, err.batch, err.lr) == (1, 1, 0.5)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is TrainingDiverged
+    assert (copy.epoch, copy.batch, copy.lr, str(copy)) == (1, 1, 0.5, str(err))
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+def test_train_rejects_val_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match="val_fraction"):
+        train(
+            toy_dataset(n=40),
+            LWConfig(beta=1.0, psi=SIGMOID),
+            TrainerConfig(learning_rate=0.05, epochs=1, seed=0),
+            val_fraction=fraction,
+        )
