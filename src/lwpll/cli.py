@@ -31,7 +31,6 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -507,6 +506,8 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
                  for label, alpha, beta in variants for seed in cfg["seeds"]]
         try:
             if workers > 1 and len(specs) > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     outcomes = list(pool.map(_execute_run, *zip(*specs)))
             else:
@@ -543,9 +544,19 @@ def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
 
 
 def _sweep_variants(betas, ablation: bool):
+    """(label, alpha, beta) per variant; two betas that share a label or a
+    value (0 and -0) would share a directory and a summary row."""
     if ablation:
         return [(f"alpha{a:g}_beta{b:g}", a, b) for a, b in ABLATION_VARIANTS]
-    return [(f"beta{b:g}", 1.0, b) for b in betas]
+    variants = [(f"beta{b:g}", 1.0, b) for b in betas]
+    for i, (label, _, beta) in enumerate(variants):
+        for other_label, _, other in variants[:i]:
+            if label == other_label or beta == other:
+                raise ConfigError(
+                    f"--beta {other!r} and {beta!r} name the same sweep variant "
+                    f"{other_label!r}"
+                )
+    return variants
 
 
 def cmd_sweep(

@@ -12,6 +12,9 @@ loss is symmetric too but has no usable derivative and is meant for
 enumeration-style checks only. A cross-entropy instantiation replaces the
 per-class binary losses with -log softmax terms and is handled separately
 because softmax couples the coordinates.
+
+``scipy.special`` is imported inside the functions that evaluate a loss, so
+a process that never evaluates one (``generate``, ``eval``) never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 # Floor applied to probabilities before taking logs in cross-entropy mode.
 _LOG_FLOOR = 1e-12
@@ -38,10 +40,14 @@ class SigmoidLoss:
 
     @staticmethod
     def value(z):
+        from scipy.special import expit
+
         return expit(np.negative(z))
 
     @staticmethod
     def derivative(z):
+        from scipy.special import expit
+
         # psi'(z) = -sigma(z) sigma(-z), bounded in [-1/4, 0)
         return -expit(z) * expit(np.negative(z))
 
@@ -155,6 +161,8 @@ def _as_batch(scores, candidates, weights):
 
 
 def _log_softmax(g):
+    from scipy.special import logsumexp
+
     return g - logsumexp(g, axis=1, keepdims=True)
 
 

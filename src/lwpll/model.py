@@ -283,56 +283,59 @@ def train(
     metrics: list[EpochMetrics] = []
     first_batch = np.asarray([], dtype=np.int64)
 
-    for epoch in range(1, tcfg.epochs + 1):
-        lr = learning_rate_at(tcfg, epoch)
-        order = shuffle_rng.permutation(n_train)
-        if epoch == 1:
-            first_batch = train_idx[order[: tcfg.batch_size]].copy()
-        loss_sum = 0.0
-        for batch_no, start in enumerate(range(0, n_train, tcfg.batch_size), start=1):
-            rows = order[start : start + tcfg.batch_size]
-            x = train_ds.features[rows]
-            masks = train_ds.partial_masks[rows]
-            w = state.w[rows]
-            scores = _finite(forward(params, x), epoch, batch_no, lr)
-            losses = lw_loss_batch(scores, masks, w, lw)
-            loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
-            upstream = lw_loss_gradient_batch(scores, masks, w, lw) / rows.shape[0]
-            grads = backward(params, x, upstream)
-            for layer, vel, (gw, gb) in zip(params.layers, velocity, grads):
-                vw, vb = vel
-                vw *= tcfg.momentum
-                vw += gw + tcfg.weight_decay * layer.W
-                vb *= tcfg.momentum
-                vb += gb
-                layer.W -= lr * vw
-                layer.b -= lr * vb
-            if per_batch_weight_update:
-                sub = WeightState(w=state.w[rows], masks=masks)
-                refreshed = _finite(forward(params, x), epoch, batch_no, lr)
-                state.w[rows] = update_weights(sub, refreshed).w
+    # Overflow to inf/NaN is caught by the finiteness checks and raised as
+    # TrainingDiverged, so numpy's own warnings would only duplicate it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, tcfg.epochs + 1):
+            lr = learning_rate_at(tcfg, epoch)
+            order = shuffle_rng.permutation(n_train)
+            if epoch == 1:
+                first_batch = train_idx[order[: tcfg.batch_size]].copy()
+            loss_sum = 0.0
+            for batch_no, start in enumerate(range(0, n_train, tcfg.batch_size), start=1):
+                rows = order[start : start + tcfg.batch_size]
+                x = train_ds.features[rows]
+                masks = train_ds.partial_masks[rows]
+                w = state.w[rows]
+                scores = _finite(forward(params, x), epoch, batch_no, lr)
+                losses = lw_loss_batch(scores, masks, w, lw)
+                loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
+                upstream = lw_loss_gradient_batch(scores, masks, w, lw) / rows.shape[0]
+                grads = backward(params, x, upstream)
+                for layer, vel, (gw, gb) in zip(params.layers, velocity, grads):
+                    vw, vb = vel
+                    vw *= tcfg.momentum
+                    vw += gw + tcfg.weight_decay * layer.W
+                    vb *= tcfg.momentum
+                    vb += gb
+                    layer.W -= lr * vw
+                    layer.b -= lr * vb
+                if per_batch_weight_update:
+                    sub = WeightState(w=state.w[rows], masks=masks)
+                    refreshed = _finite(forward(params, x), epoch, batch_no, lr)
+                    state.w[rows] = update_weights(sub, refreshed).w
 
-        train_scores = _finite(forward(params, train_ds.features), epoch, batch_no, lr)
-        if not per_batch_weight_update:
-            state = update_weights(state, train_scores)
-        train_acc = float("nan")
-        if train_ds.true_labels is not None:
-            train_acc = float(
-                np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels)
+            train_scores = _finite(forward(params, train_ds.features), epoch, batch_no, lr)
+            if not per_batch_weight_update:
+                state = update_weights(state, train_scores)
+            train_acc = float("nan")
+            if train_ds.true_labels is not None:
+                train_acc = float(
+                    np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels)
+                )
+            val_acc = float("nan")
+            if len(val_ds) > 0 and val_ds.true_labels is not None:
+                val_acc = accuracy(params, val_ds)
+            row = EpochMetrics(
+                epoch=epoch,
+                lr=lr,
+                risk=loss_sum / n_train,
+                train_accuracy=train_acc,
+                val_accuracy=val_acc,
             )
-        val_acc = float("nan")
-        if len(val_ds) > 0 and val_ds.true_labels is not None:
-            val_acc = accuracy(params, val_ds)
-        row = EpochMetrics(
-            epoch=epoch,
-            lr=lr,
-            risk=loss_sum / n_train,
-            train_accuracy=train_acc,
-            val_accuracy=val_acc,
-        )
-        metrics.append(row)
-        if epoch_callback is not None:
-            epoch_callback(row, params, state)
+            metrics.append(row)
+            if epoch_callback is not None:
+                epoch_callback(row, params, state)
 
     return TrainResult(
         params=params,

@@ -57,7 +57,9 @@ def _side_softmax(scores: np.ndarray, side: np.ndarray) -> np.ndarray:
     """Softmax of scores restricted to `side`; zeros where side is empty."""
     peak = np.where(side, scores, -np.inf).max(axis=1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    e = np.where(side, np.exp(np.where(side, scores, peak) - peak), 0.0)
+    # A gap beyond the float range overflows to -inf, and exp gives its exact 0.
+    with np.errstate(over="ignore"):
+        e = np.where(side, np.exp(np.where(side, scores, peak) - peak), 0.0)
     tot = e.sum(axis=1, keepdims=True)
     return np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
 

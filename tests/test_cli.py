@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +213,19 @@ def test_sweep_ablation_variants(tmp_path):
     summary = (run_dir / "summary.csv").read_text().splitlines()
     names = [line.split(",")[0] for line in summary[2:]]
     assert names == ["alpha1_beta0", "alpha0_beta1", "alpha1_beta1"]
+
+
+@pytest.mark.parametrize("betas, first, second", [
+    ("1,1", "1.0", "1.0"),
+    ("0.1,2,0.1000001", "0.1", "0.1000001"),
+    ("0,-0", "0.0", "-0.0"),
+])
+def test_sweep_rejects_betas_that_share_a_variant(tmp_path, capsys, betas, first, second):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", betas]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --beta {first} and {second} name the same sweep variant")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -502,3 +517,20 @@ def test_failed_rerun_keeps_the_previous_run_directory(tmp_path):
         assert main(command + ["--config", cfg_path, "--quiet"]) == 1
     assert sorted(os.listdir(out)) == names
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_diverging_train_reports_cleanly_when_warnings_are_errors(tmp_path):
+    cfg_path = write_config(tmp_path, write_huge_feature_csvs(tmp_path),
+                            **{"output.dir": tmp_path / "out"})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, LW_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lwpll", "train",
+         "--config", cfg_path, "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: train ") and "diverged" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "out").exists()

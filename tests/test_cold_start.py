@@ -1,0 +1,97 @@
+"""Which heavy modules each command loads, checked in fresh interpreters.
+
+`scipy.special` is imported where a loss is first evaluated and the process
+pool where a run loop first needs one, so importing the package, `--help`,
+a rejected config, `generate` and `eval` must load neither. `verify` and a
+serial `train` evaluate losses and must load SciPy; a `train` whose runs go
+to worker processes (LW_THREADS >= 2) loads the pool instead, and SciPy
+only in the workers.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from lwpll import init_network, make_rng, network_widths, save_checkpoint
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DEFERRED = ("scipy.special", "concurrent.futures.process")
+
+# Runs `lwpll` with the given arguments (or only imports the package when
+# there are none), then reports which of DEFERRED ended up loaded.
+PROBE = f"""
+import sys
+try:
+    import lwpll
+    if sys.argv[1:]:
+        from lwpll.cli import main
+        sys.exit(main(sys.argv[1:]))
+finally:
+    print("loaded:", *[m for m in {DEFERRED!r} if m in sys.modules], file=sys.stderr)
+"""
+
+CONFIG = """
+gaussian.classes = 3
+gaussian.dim = 2
+gaussian.n = 60
+gaussian.test_n = 20
+trainer.epochs = 1
+seeds = 0,1
+"""
+
+
+def run_probe(*args, cwd, threads="1"):
+    env = dict(os.environ, LW_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    report = proc.stderr.splitlines()[-1]
+    assert report.startswith("loaded:"), proc.stderr
+    return proc.returncode, set(report.split()[1:])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cold")
+    (root / "exp.cfg").write_text(CONFIG + f"output.dir = {root / 'out'}\n")
+    (root / "bad.cfg").write_text(CONFIG + "trainer.epoch = 1\n")
+    return root
+
+
+def test_generate_and_eval_load_neither(workdir):
+    code, loaded = run_probe("generate", "--config", "exp.cfg", "--quiet", cwd=workdir)
+    assert (code, loaded) == (0, set())
+    (test_csv,) = (workdir / "out").glob("*/test.csv")
+    params = init_network(network_widths("linear", 2, 3), make_rng(0))
+    save_checkpoint(params, workdir / "net.bin")
+    code, loaded = run_probe("eval", "--checkpoint", "net.bin", "--csv", test_csv,
+                             "--quiet", cwd=workdir)
+    assert (code, loaded) == (0, set())
+
+
+@pytest.mark.parametrize("args, status", [
+    ((), 0),
+    (("--help",), 0),
+    (("train", "--config", "bad.cfg"), 2),
+])
+def test_import_help_and_rejected_config_load_neither(workdir, args, status):
+    assert run_probe(*args, cwd=workdir) == (status, set())
+
+
+def test_loss_evaluating_commands_load_scipy(workdir):
+    code, loaded = run_probe("verify", "--k-list", "2", "--trials", "3", "--quiet",
+                             cwd=workdir)
+    assert (code, loaded) == (0, {"scipy.special"})
+    code, loaded = run_probe("train", "--config", "exp.cfg", "--quiet", cwd=workdir)
+    assert (code, loaded) == (0, {"scipy.special"})
+
+
+def test_pooled_train_loads_the_pool_and_leaves_scipy_to_the_workers(workdir):
+    code, loaded = run_probe("train", "--config", "exp.cfg", "--quiet", cwd=workdir,
+                             threads="2")
+    assert (code, loaded) == (0, {"concurrent.futures.process"})

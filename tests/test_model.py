@@ -1,9 +1,13 @@
 """Score networks, the trainer, and checkpoint serialization."""
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lwpll import (
     CROSS_ENTROPY,
@@ -361,6 +365,44 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(got.W, exp.W)
         assert np.array_equal(got.b, exp.b)
         assert got.activation == exp.activation
+
+
+# Edge values on top of hypothesis's own float draws: signed zeros, the
+# smallest and a mid subnormal, the largest finite magnitudes.
+CHECKPOINT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def networks(draw):
+    arch = draw(st.sampled_from(["linear", "mlp"]))
+    widths = network_widths(arch, draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+                            hidden=draw(st.integers(1, 5)))
+    last = len(widths) - 2
+    return NetworkParams([
+        Layer(
+            W=draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=CHECKPOINT_FLOATS)),
+            b=draw(hnp.arrays(np.float64, fan_out, elements=CHECKPOINT_FLOATS)),
+            activation="identity" if i == last else "relu",
+        )
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:]))
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks())
+def test_checkpoint_round_trip_is_bit_exact(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/net.bin"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+    assert [l.activation for l in loaded.layers] == [l.activation for l in params.layers]
+    for got, exp in zip(loaded.layers, params.layers, strict=True):
+        assert got.W.shape == exp.W.shape and got.b.shape == exp.b.shape
+        assert got.W.tobytes() == exp.W.tobytes()
+        assert got.b.tobytes() == exp.b.tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

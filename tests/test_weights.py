@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lwpll import WeightState, init_weights, make_rng, partition_sums, update_weights
 
@@ -87,6 +90,32 @@ def test_partition_sums_after_update():
     full = masks.all(axis=1)
     assert np.abs(outside[~full] - 1.0).max() <= 1e-12
     assert np.array_equal(outside[full], np.zeros(full.sum()))
+
+
+@st.composite
+def masks_and_scores(draw):
+    n, k = draw(st.integers(1, 8)), draw(st.integers(2, 7))
+    masks = draw(hnp.arrays(np.bool_, (n, k)))
+    masks[np.arange(n), draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))] = True
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return masks, draw(hnp.arrays(np.float64, (n, k), elements=finite))
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks_and_scores())
+# Score gaps wider than the float range on each side.
+@example((np.array([[True, True, False, False]]), np.array([[-1.7e308, 1.7e308, 1e308, -1e308]])))
+def test_each_side_stays_a_distribution_property(case):
+    masks, scores = case
+    full = masks.all(axis=1)
+    initial = init_weights(masks)
+    for state in (initial, update_weights(initial, scores)):
+        assert (state.w >= 0.0).all()
+        inside, outside = partition_sums(state)
+        assert np.abs(inside - 1.0).max() <= 1e-12
+        assert np.abs(outside[~full] - 1.0).max(initial=0.0) <= 1e-12
+        assert (outside[full] == 0.0).all()
+        assert np.array_equal(state.masks, masks)
 
 
 def test_update_preserves_score_order():
