@@ -403,12 +403,12 @@ def certify_risk_equivalence(
         lhs = partial_risk_bruteforce(g[:n], p[:n], model, w[:n], cfg)
         rhs = supervised_risk_direct(g[:n], p[:n], model, w[:n], cfg, derived_loss)
         # The first instance in draw order with the largest gap, as a
-        # one-at-a-time scan keeping strict improvements would report it;
-        # a NaN gap is larger than any number.
+        # one-at-a-time scan from instance 0 keeping strict improvements
+        # would report it (all gaps 0 name instance 0); NaN beats any number.
         for r, gap in enumerate(np.abs(lhs - rhs).tolist()):
             index = i - (row - r) * period
             rank, worst_rank = severity(gap), severity(worst[0])
-            if rank > worst_rank or (rank == worst_rank and index < worst[1]):
+            if worst[1] < 0 or rank > worst_rank or (rank == worst_rank and index < worst[1]):
                 worst = (gap, index)
     if worst[1] < 0:
         return ConsistencyReport(
@@ -433,16 +433,16 @@ def certify_subset_normalization(
 ) -> ConsistencyReport:
     """Set probabilities sum to 1 for each true label, over random models."""
     rng = make_rng(seed)
-    worst = (0.0, "no models checked")
+    worst = (0.0, None)
     for i in range(models):
         k = k_values[i % len(k_values)]
         model = _random_model(rng.random((k, k)))
         y = int(rng.integers(k))
         report = lemma1_check(model, y)
-        if severity(report.max_discrepancy) > severity(worst[0]):
+        if worst[1] is None or severity(report.max_discrepancy) > severity(worst[0]):
             worst = (report.max_discrepancy, f"model {i}: {report.worst_case}")
     return ConsistencyReport(
-        max_discrepancy=worst[0], instances=models, worst_case=worst[1]
+        max_discrepancy=worst[0], instances=models, worst_case=worst[1] or "no models checked"
     )
 
 
@@ -451,7 +451,7 @@ def certify_uniform_recovery(
 ) -> ConsistencyReport:
     """Uniform q = 1/2 with rejection: every proper set has probability
     1/(2^(K-1) - 1)."""
-    worst = (0.0, "no subsets checked")
+    worst = (0.0, None)
     checked = 0
     for k in k_values:
         model = make_uniform(k, 0.5, reject_full=True)
@@ -462,10 +462,10 @@ def certify_uniform_recovery(
             probs = model.subset_probabilities(y, proper)
             checked += proper.shape[0]
             gap = float(np.abs(probs - expected).max())
-            if severity(gap) > severity(worst[0]):
+            if worst[1] is None or severity(gap) > severity(worst[0]):
                 worst = (gap, f"K={k}, y={y}, target={expected!r}")
     return ConsistencyReport(
-        max_discrepancy=worst[0], instances=checked, worst_case=worst[1]
+        max_discrepancy=worst[0], instances=checked, worst_case=worst[1] or "no subsets checked"
     )
 
 

@@ -1,12 +1,13 @@
 """Score networks and the mini-batch trainer for candidate-set supervision.
 
 Networks are plain affine stacks (linear model, or an MLP with ReLU hidden
-layers) with hand-written forward and backward passes. Training minimizes
-the empirical leveraged weighted risk with SGD plus heavy-ball momentum,
-halves the learning rate on a fixed epoch period, and refreshes the
-per-instance class weights once per epoch after the parameter steps (or per
-batch behind a flag). All randomness (init, validation split, shuffling)
-derives from the trainer seed, so runs replay bit for bit.
+layers) with hand-written forward and backward passes; the trainer scores
+each batch once and back-propagates through the activations of that pass.
+Training minimizes the empirical leveraged weighted risk with SGD plus
+heavy-ball momentum, halves the learning rate on a fixed epoch period, and
+refreshes the per-instance class weights once per epoch after the parameter
+steps (or per batch behind a flag). All randomness (init, validation split,
+shuffling) derives from the trainer seed, so runs replay bit for bit.
 """
 
 from __future__ import annotations
@@ -118,34 +119,45 @@ def network_widths(arch: str, num_features: int, num_classes: int, hidden: int =
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def _apply(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if activation == "relu" else z
+def _feature_batch(params: NetworkParams, features) -> tuple[np.ndarray, bool]:
+    """Features as an (n, d) float batch, and whether they were one d-vector."""
+    x = np.asarray(features, dtype=float)
+    single = x.ndim == 1
+    x = x[None, :] if single else x
+    width = params.layers[0].W.shape[1]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"features shape {x.shape} does not match input width {width}")
+    return x, single
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
-    """Return (activations a_0..a_L, pre-activations z_1..z_L) for a batch."""
+def _forward_cached(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Activations a_0..a_L of a batch: a_0 = x, a_L the scores."""
     acts = [x]
-    pres = []
     for layer in params.layers:
         z = acts[-1] @ layer.W.T + layer.b
-        pres.append(z)
-        acts.append(_apply(z, layer.activation))
-    return acts, pres
+        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    return acts
+
+
+def _backprop(params: NetworkParams, acts: list[np.ndarray], delta: np.ndarray):
+    """(dW, db) per layer from `_forward_cached`'s activations and d loss / d
+    scores. A ReLU layer masks with a_{i+1} > 0, which is z > 0 bit for bit."""
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        if layer.activation == "relu":
+            delta = np.where(acts[i + 1] > 0.0, delta, 0.0)
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ layer.W
+    return grads
 
 
 def forward(params: NetworkParams, features) -> np.ndarray:
     """Scores g(x); accepts one d-vector or an (n, d) batch."""
-    x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.layers[0].W.shape[1]:
-        raise ValueError(
-            f"features shape {x.shape} does not match input width "
-            f"{params.layers[0].W.shape[1]}"
-        )
-    acts, _ = _forward_cached(params, x)
-    return acts[-1][0] if single else acts[-1]
+    x, single = _feature_batch(params, features)
+    scores = _forward_cached(params, x)[-1]
+    return scores[0] if single else scores
 
 
 def backward(params: NetworkParams, features, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -154,27 +166,16 @@ def backward(params: NetworkParams, features, upstream) -> list[tuple[np.ndarray
     ReLU uses subgradient 0 exactly at 0. Returns one (dW, db) pair per
     layer, in layer order.
     """
-    x = np.asarray(features, dtype=float)
-    g = np.asarray(upstream, dtype=float)
-    if x.ndim == 1:
-        x, g = x[None, :], g[None, :]
-    acts, pres = _forward_cached(params, x)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
-    delta = g
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
-        if layer.activation == "relu":
-            delta = np.where(pres[i] > 0.0, delta, 0.0)
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-        if i > 0:
-            delta = delta @ layer.W
-    return grads
+    x, _ = _feature_batch(params, features)
+    g = np.atleast_2d(np.asarray(upstream, dtype=float))
+    if g.shape != (x.shape[0], params.layers[-1].W.shape[0]):
+        raise ValueError(f"upstream shape {g.shape} does not match {x.shape[0]} rows of scores")
+    return _backprop(params, _forward_cached(params, x), g)
 
 
 def predict(params: NetworkParams, features) -> np.ndarray:
     """Argmax class per row; ties go to the lowest class index."""
-    scores = forward(params, features)
-    return np.argmax(np.atleast_2d(scores), axis=1)
+    return np.argmax(np.atleast_2d(forward(params, features)), axis=1)
 
 
 def accuracy(params: NetworkParams, dataset: Dataset) -> float:
@@ -276,6 +277,7 @@ def train(
     n_train = len(train_ds)
     if n_train == 0:
         raise ValueError("empty training split")
+    features, _ = _feature_batch(params, train_ds.features)
 
     state = init_weights(train_ds.partial_masks)
     velocity = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in params.layers]
@@ -294,16 +296,16 @@ def train(
             loss_sum = 0.0
             for batch_no, start in enumerate(range(0, n_train, tcfg.batch_size), start=1):
                 rows = order[start : start + tcfg.batch_size]
-                x = train_ds.features[rows]
+                x = features[rows]
                 masks = train_ds.partial_masks[rows]
                 w = state.w[rows]
-                scores = _finite(forward(params, x), epoch, batch_no, lr)
+                acts = _forward_cached(params, x)
+                scores = _finite(acts[-1], epoch, batch_no, lr)
                 losses = lw_loss_batch(scores, masks, w, lw)
                 loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
                 upstream = lw_loss_gradient_batch(scores, masks, w, lw) / rows.shape[0]
-                grads = backward(params, x, upstream)
-                for layer, vel, (gw, gb) in zip(params.layers, velocity, grads):
-                    vw, vb = vel
+                grads = _backprop(params, acts, upstream)
+                for layer, (vw, vb), (gw, gb) in zip(params.layers, velocity, grads):
                     vw *= tcfg.momentum
                     vw += gw + tcfg.weight_decay * layer.W
                     vb *= tcfg.momentum
@@ -315,14 +317,12 @@ def train(
                     refreshed = _finite(forward(params, x), epoch, batch_no, lr)
                     state.w[rows] = update_weights(sub, refreshed).w
 
-            train_scores = _finite(forward(params, train_ds.features), epoch, batch_no, lr)
+            train_scores = _finite(forward(params, features), epoch, batch_no, lr)
             if not per_batch_weight_update:
                 state = update_weights(state, train_scores)
             train_acc = float("nan")
             if train_ds.true_labels is not None:
-                train_acc = float(
-                    np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels)
-                )
+                train_acc = float(np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels))
             val_acc = float("nan")
             if len(val_ds) > 0 and val_ds.true_labels is not None:
                 val_acc = accuracy(params, val_ds)

@@ -590,7 +590,7 @@ def reference_certify_risk_equivalence(
         lhs = reference_partial_risk(g, p, model, w, cfg)
         rhs = reference_supervised_risk(g, p, model, w, cfg)
         gap = abs(lhs - rhs)
-        if gap > worst[0]:
+        if i == 0 or gap > worst[0]:
             worst = (
                 gap,
                 f"instance {i}: K={k}, psi={psi.name}, beta={cfg.beta}, "
@@ -723,7 +723,7 @@ risk_equivalence: max_discrepancy=3.553e-15 tolerance=1e-10 instances=1000 pass
 subset_normalization: max_discrepancy=2.220e-16 tolerance=1e-12 instances=100 pass
   worst: model 14: K=7, y=1, sum=1.0000000000000002
 uniform_recovery: max_discrepancy=0.000e+00 tolerance=1e-12 instances=1755 pass
-  worst: no subsets checked
+  worst: K=3, y=0, target=0.3333333333333333
 coefficient_ordering: max_discrepancy=0.000e+00 tolerance=1 instances=10000 pass
   worst: all instances ordered correctly
 {"instances": 12855, "max_discrepancy": 3.552713678800501e-15, "pass": true}
@@ -786,6 +786,29 @@ def test_uniform_recovery_reports_a_nan_gap(monkeypatch):
     assert math.isnan(report.max_discrepancy)
     assert not report.within(1e-12)
     assert report.worst_case.startswith("K=5, y=0,")
+
+
+# all gaps exactly 0: the worst case is the first instance checked
+
+
+def test_zero_gaps_name_the_first_instance_checked():
+    # K = 1 has one candidate set, so both risks agree exactly; instance 0's
+    # batch (0, 30, 60, 90) is checked after the batch holding 10, 40 and 70
+    report = certify_risk_equivalence(100, 0, (1,))
+    assert report.max_discrepancy == 0.0
+    assert report.worst_case.startswith("instance 0: K=1, psi=sigmoid,")
+    report = certify_subset_normalization(models=20, seed=0, k_values=(2,))
+    assert report.max_discrepancy == 0.0
+    assert report.worst_case.startswith("model 0: K=2,")
+    report = certify_uniform_recovery(k_values=(3, 4))
+    assert report.max_discrepancy == 0.0
+    assert report.worst_case == "K=3, y=0, target=0.3333333333333333"
+
+
+def test_placeholder_only_when_nothing_was_checked():
+    assert certify_risk_equivalence(0, 0).worst_case == "no instances checked"
+    assert certify_subset_normalization(models=0).worst_case == "no models checked"
+    assert certify_uniform_recovery(k_values=()).worst_case == "no subsets checked"
 
 
 def test_verify_fails_and_prints_a_nan_discrepancy(monkeypatch, capsys):

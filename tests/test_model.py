@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lwpll.model
 from lwpll import (
     CROSS_ENTROPY,
     SIGMOID,
@@ -131,6 +132,25 @@ def test_backward_matches_finite_differences():
                 denom = max(np.linalg.norm(fd), 1.0)
                 worst = max(worst, np.linalg.norm(ga.ravel() - fd) / denom)
         assert worst < 1e-5
+
+
+def test_backward_rejects_upstream_that_does_not_match_the_scores():
+    rng = make_rng(97)
+    params = init_network([4, 5, 3], rng)
+    # one feature vector against two rows of upstream
+    with pytest.raises(ValueError, match="upstream shape"):
+        backward(params, rng.normal(size=4), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="upstream shape"):
+        backward(params, rng.normal(size=(2, 4)), np.ones((3, 3)))
+    linear = init_network([4, 2], rng)
+    with pytest.raises(ValueError, match="upstream shape"):
+        backward(linear, rng.normal(size=(1, 4)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="does not match input width"):
+        backward(linear, rng.normal(size=(1, 3)), np.ones((1, 2)))
+    # one vector with one upstream vector is the one-row batch
+    x, up = rng.normal(size=4), rng.normal(size=3)
+    for (gw, gb), (bw, bb) in zip(backward(params, x, up), backward(params, x[None], up[None])):
+        assert gw.tobytes() == bw.tobytes() and gb.tobytes() == bb.tobytes()
 
 
 # prediction
@@ -474,3 +494,78 @@ def test_train_rejects_val_fraction_outside_unit_interval(fraction):
             TrainerConfig(learning_rate=0.05, epochs=1, seed=0),
             val_fraction=fraction,
         )
+
+
+# one forward pass per training batch
+
+
+def test_train_runs_one_forward_pass_per_batch(monkeypatch):
+    calls = []
+    real = lwpll.model._forward_cached
+
+    def spy(params, x):
+        calls.append(x.shape[0])
+        return real(params, x)
+
+    monkeypatch.setattr(lwpll.model, "_forward_cached", spy)
+    ds = toy_dataset(n=100, seed=4)
+    tcfg = TrainerConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=1)
+    for arch in ("linear", "mlp"):
+        calls.clear()
+        result = train(ds, LWConfig(beta=1.0, psi=SIGMOID), tcfg, arch=arch, hidden=4)
+        n_train, n_val = len(result.train_indices), len(result.val_indices)
+        batches = [16] * (n_train // 16) + [n_train % 16]
+        # per epoch: each batch once, the train split's scores, the validation accuracy
+        assert calls == (batches + [n_train, n_val]) * tcfg.epochs
+
+
+def pre_activation_backward(params, x, upstream):
+    """The backward pass as it was when it kept z_1..z_L and masked ReLU with z > 0."""
+    acts, pres = [x], []
+    for layer in params.layers:
+        z = acts[-1] @ layer.W.T + layer.b
+        pres.append(z)
+        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    grads = [None] * len(params.layers)
+    delta = upstream
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        if layer.activation == "relu":
+            delta = np.where(pres[i] > 0.0, delta, 0.0)
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ layer.W
+    return grads
+
+
+# Signed zeros and NaN besides bounded draws: zero rows of features against
+# zero biases put exact 0.0 and -0.0 into the ReLU inputs.
+PASS_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def backward_cases(draw):
+    arch = draw(st.sampled_from(["linear", "mlp"]))
+    d, k, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    widths = network_widths(arch, d, k, hidden=draw(st.integers(1, 4)))
+    params = init_network(widths, make_rng(draw(st.integers(0, 2**32 - 1))))
+    for layer in params.layers:
+        layer.b = draw(hnp.arrays(np.float64, layer.b.shape, elements=PASS_FLOATS))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=PASS_FLOATS))
+    x[draw(hnp.arrays(bool, n))] = draw(st.sampled_from([0.0, -0.0]))
+    upstream = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-4.0, 4.0)))
+    return params, x, upstream
+
+
+@settings(max_examples=150, deadline=None)
+@given(backward_cases())
+def test_backward_equals_the_pre_activation_backward(case):
+    params, x, upstream = case
+    got = backward(params, x, upstream)
+    expected = pre_activation_backward(params, x, upstream)
+    for (gw, gb), (ew, eb) in zip(got, expected, strict=True):
+        assert gw.shape == ew.shape and gb.shape == eb.shape
+        assert gw.tobytes() == ew.tobytes() and gb.tobytes() == eb.tobytes()
