@@ -717,6 +717,32 @@ def test_stacked_risks_equal_each_instance():
         )
 
 
+VERIFY_SEED_0 = """\
+risk_equivalence: max_discrepancy=1.776e-15 tolerance=1e-10 instances=1000 pass
+  worst: instance 214: K=6, psi=ramp, beta=7.3, alpha=0.5, |lhs-rhs|=1.776e-15
+subset_normalization: max_discrepancy=2.220e-16 tolerance=1e-12 instances=100 pass
+  worst: model 5: K=7, y=4, sum=1.0000000000000002
+uniform_recovery: max_discrepancy=0.000e+00 tolerance=1e-12 instances=1755 pass
+  worst: K=3, y=0, target=0.3333333333333333
+coefficient_ordering: max_discrepancy=0.000e+00 tolerance=1 instances=10000 pass
+  worst: all instances ordered correctly
+{"instances": 12855, "max_discrepancy": 1.7763568394002505e-15, "pass": true}
+"""
+
+
+VERIFY_SEED_7 = """\
+risk_equivalence: max_discrepancy=1.776e-15 tolerance=1e-10 instances=1000 pass
+  worst: instance 94: K=5, psi=ramp, beta=7.3, alpha=0.5, |lhs-rhs|=1.776e-15
+subset_normalization: max_discrepancy=2.220e-16 tolerance=1e-12 instances=100 pass
+  worst: model 13: K=6, y=5, sum=0.9999999999999998
+uniform_recovery: max_discrepancy=0.000e+00 tolerance=1e-12 instances=1755 pass
+  worst: K=3, y=0, target=0.3333333333333333
+coefficient_ordering: max_discrepancy=0.000e+00 tolerance=1 instances=10000 pass
+  worst: all instances ordered correctly
+{"instances": 12855, "max_discrepancy": 1.7763568394002505e-15, "pass": true}
+"""
+
+
 VERIFY_SEED_201 = """\
 risk_equivalence: max_discrepancy=3.553e-15 tolerance=1e-10 instances=1000 pass
   worst: instance 664: K=8, psi=ramp, beta=7.3, alpha=0.5, |lhs-rhs|=3.553e-15
@@ -733,8 +759,9 @@ coefficient_ordering: max_discrepancy=0.000e+00 tolerance=1 instances=10000 pass
 def test_verify_full_output_is_pinned(capsys):
     from lwpll.cli import main
 
-    assert main(["verify", "--trials", "1000", "--seed", "201"]) == 0
-    assert capsys.readouterr().out == VERIFY_SEED_201
+    for seed, expected in ((0, VERIFY_SEED_0), (7, VERIFY_SEED_7), (201, VERIFY_SEED_201)):
+        assert main(["verify", "--trials", "1000", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 # a NaN discrepancy is the worst case, never a pass
