@@ -82,8 +82,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _flag_seed(seed: int) -> int:
+    """A --seed value, through the seed check of the config keys."""
+    try:
+        return _parse_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed {exc}") from None
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    seeds = tuple(_parse_seed(tok) for tok in text.split(",") if tok.strip())
     if not seeds:
         raise ValueError("seeds list is empty")
     for i, seed in enumerate(seeds):
@@ -117,7 +132,7 @@ _SCHEMA = {
     "generation.q2": (float, 0.3),
     "generation.q3": (float, 0.1),
     "generation.reject_full": (_parse_bool, False),
-    "generation.seed": (int, 0),
+    "generation.seed": (_parse_seed, 0),
     "model.arch": (str, "linear"),
     "model.hidden": (int, 64),
     "loss.psi": (str, "sigmoid"),
@@ -548,6 +563,8 @@ def _sweep_variants(betas, ablation: bool):
     value (0 and -0) would share a directory and a summary row."""
     if ablation:
         return [(f"alpha{a:g}_beta{b:g}", a, b) for a, b in ABLATION_VARIANTS]
+    if not betas:
+        raise ConfigError("--beta must name at least one beta")
     variants = [(f"beta{b:g}", 1.0, b) for b in betas]
     for i, (label, _, beta) in enumerate(variants):
         for other_label, _, other in variants[:i]:
@@ -609,8 +626,9 @@ def cmd_verify(
     """Run the full certification suite; exit 0 only if everything holds.
 
     Arguments are checked before any check runs: --k-list must name at
-    least one K, each in 1..MAX_ENUMERATION_CLASSES, and --trials must be
-    >= 0 (0 is allowed and warns that the certification is vacuous).
+    least one K, each in 1..MAX_ENUMERATION_CLASSES, --seed must be >= 0,
+    and --trials must be >= 0 (0 is allowed and warns that the
+    certification is vacuous).
     """
     if not k_values:
         raise ConfigError("--k-list must name at least one K")
@@ -621,6 +639,7 @@ def cmd_verify(
         )
     if trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {trials}")
+    _flag_seed(seed)
     if trials == 0:
         print("warning: trials=0, certification is vacuous", file=sys.stderr)
         print(json.dumps({"pass": True, "max_discrepancy": 0.0, "instances": 0}))
@@ -717,7 +736,7 @@ def _load_cli_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = (args.seed,)
+        overrides["seeds"] = (_flag_seed(args.seed),)
     if getattr(args, "out", None):
         overrides["output.dir"] = args.out
     return cfg.override(**overrides) if overrides else cfg

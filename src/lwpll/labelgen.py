@@ -127,20 +127,7 @@ class GenerationModel:
 
     def sample_set(self, y: int, rng: np.random.Generator) -> np.ndarray:
         """Draw one candidate set for true label y as a boolean mask."""
-        self._one_model()
-        y = int(y)
-        if not 0 <= y < self.num_classes:
-            raise ValueError(f"label {y} out of range")
-        row = self.q[y]
-        for _ in range(RETRY_CAP):
-            mask = rng.random(self.num_classes) < row
-            mask[y] = True
-            if not (self.reject_full and mask.all()):
-                return mask
-        raise RuntimeError(
-            f"gave up after {RETRY_CAP} rejected draws for label {y}; "
-            "the full set has probability too close to 1"
-        )
+        return self.sample_sets(np.array([int(y)]), rng)[0]
 
     def sample_sets(self, labels, rng: np.random.Generator) -> np.ndarray:
         """Draw candidate sets for a label vector; returns (n, K) boolean masks."""

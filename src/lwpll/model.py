@@ -206,7 +206,7 @@ class TrainerConfig:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.lr_halving_period < 1:
             raise ValueError("batch_size, epochs, lr_halving_period out of range")

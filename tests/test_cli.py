@@ -228,6 +228,14 @@ def test_sweep_rejects_betas_that_share_a_variant(tmp_path, capsys, betas, first
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_rejects_an_empty_beta_list(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    for betas in ("", ","):
+        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", betas]) == 2
+        assert capsys.readouterr().err == "error: --beta must name at least one beta\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "serial"})
     assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
@@ -412,6 +420,7 @@ def test_verify_rejects_bad_arguments_before_checking(capsys):
         (["--k-list", ""], "--k-list"),
         (["--k-list", "0,2"], "--k-list"),
         (["--k-list", "2,17"], "--k-list"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
     )
     for args, option in cases:
         assert main(["verify", "--quiet"] + args) == 2
@@ -428,6 +437,24 @@ def test_duplicate_seeds_fail_before_any_run_directory(tmp_path, capsys):
     assert main(["train", "--config", cfg_path, "--quiet"]) == 2
     assert "seeds: duplicate seed 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seeds_fail_before_any_run_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    cases = (
+        (["train"], {"seeds": "1,-1"}, "error: seeds: must be >= 0, got -1\n"),
+        (["generate"], {"generation.seed": -1},
+         "error: generation.seed: must be >= 0, got -1\n"),
+        (["train", "--seed", "-2"], {}, "error: --seed must be >= 0, got -2\n"),
+        (["sweep", "--beta", "0", "--seed", "-1"], {}, "error: --seed must be >= 0, got -1\n"),
+    )
+    text = BASE_CONFIG.replace("seeds = 0,1\n", "")
+    for args, extra, message in cases:
+        cfg_path = write_config(tmp_path, text, **{"output.dir": out}, **extra)
+        assert main(args + ["--config", cfg_path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not out.exists()
 
 
 def test_bad_lw_threads_fails_before_any_run_directory(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import lwpll.consistency
-import lwpll.rng
 from lwpll import (
     RAMP,
     SIGMOID,
@@ -351,20 +350,31 @@ def reference_coefficient_check(p, w, q, beta):
 
 
 def reference_coefficient_ordering(instances, seed, k_values, check):
+    """Draw the instances of each K together, as the certifier does, then
+    check instance i (row i // period of group i % period) on its own."""
     rng = make_rng(seed)
+    period = len(k_values)
+    groups = []
+    for j, k in enumerate(k_values[: max(instances, 0)]):
+        n = len(range(j, instances, period))
+        labels = rng.integers(k, size=n)
+        weights = rng.random((n, k))
+        rates = rng.random((n, k))
+        groups.append((k, labels, weights, rates, rng.random(n)))
     failures = 0
     worst = "all instances ordered correctly"
     for i in range(instances):
-        k = k_values[i % len(k_values)]
-        y_star = int(rng.integers(k))
-        w = rng.random(k) + 1e-9
+        k, labels, weights, rates, u = groups[i % period]
+        r = i // period
+        y_star = int(labels[r])
+        w = weights[r] + 1e-9
         top = int(np.argmax(w))
         w[y_star], w[top] = w[top], w[y_star]
-        q = rng.random(k) * 0.98
+        q = rates[r] * 0.98
         q[y_star] = 1.0
         p = np.zeros(k)
         p[y_star] = 1.0
-        beta = 10.0 * (1.0 - rng.random())
+        beta = float(10.0 * (1.0 - u[r]))
         if not check(p, w, q, beta):
             failures += 1
             if failures == 1:
@@ -852,7 +862,7 @@ def test_verify_fails_and_prints_a_nan_discrepancy(monkeypatch, capsys):
     assert out[-1] == '{"instances": 11875, "max_discrepancy": NaN, "pass": false}'
 
 
-# coefficient-ordering draws decoded from raw Philox blocks
+# coefficient-ordering draws, one K group at a time
 
 
 def assert_draws_equal_reference(monkeypatch, instances, seed, k_values):
@@ -886,63 +896,13 @@ def assert_draws_equal_reference(monkeypatch, instances, seed, k_values):
         assert group[3][i // period] == beta
 
 
-def test_raw_draws_carry_a_buffered_half_across_chunks(monkeypatch):
-    # one row per chunk: three integer draws, so every other chunk starts
-    # with the high half of the previous chunk's last integer word
-    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
-    for seed in (0, 11):
-        assert_draws_equal_reference(monkeypatch, 301, seed, (2, 3, 4))
-    # four rows (15 draws) per chunk, a partial last chunk
-    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 4 * (6 + 8 + 10 + 12 + 14))
-    assert_draws_equal_reference(monkeypatch, 1003, 12, (2, 3, 4, 5, 6))
-
-
 def test_raw_draws_with_single_class_groups(monkeypatch):
-    # integers(1) draws no word and leaves the buffered half alone
+    # a single-class group's labels are all 0
     assert_draws_equal_reference(monkeypatch, 500, 13, (1, 3, 1, 2, 1))
     assert_draws_equal_reference(monkeypatch, 40, 14, (1,))
-    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
     assert_draws_equal_reference(monkeypatch, 123, 15, (2, 1, 5))
 
 
 def test_raw_draws_with_fewer_instances_than_groups(monkeypatch):
     for instances in (0, 1, 5):
         assert_draws_equal_reference(monkeypatch, instances, 16, tuple(range(2, 11)))
-
-
-@pytest.mark.parametrize(
-    "word",
-    [
-        2**63,  # low half 0 is rejected for k = 3, the high half 2^31 accepted
-        2**31,  # low half accepted, high half 0 rejected by the next draw
-    ],
-)
-def test_raw_draws_redo_a_chunk_with_a_rejected_integer(monkeypatch, word):
-    # Philox serves its buffered words first, so a crafted buffer puts a
-    # chosen word at a chosen place: with K = (1, 3, 3), instance 0 reads
-    # three doubles and instance 1's integer takes the low half of word 3.
-    def crafted_rng(seed, stream=0):
-        rng = lwpll.rng.make_rng(seed, stream)
-        state = rng.bit_generator.state
-        state["buffer"] = np.array([2**63, 2**62, 2**61, word], dtype=np.uint64)
-        state["buffer_pos"] = 0
-        rng.bit_generator.state = state
-        return rng
-
-    redone = []
-    real_redo = lwpll.consistency._draw_one_at_a_time
-
-    def redo(rng, groups, period, start, stop):
-        redone.append((start, stop))
-        real_redo(rng, groups, period, start, stop)
-
-    monkeypatch.setattr(lwpll.consistency, "make_rng", crafted_rng)
-    monkeypatch.setitem(globals(), "make_rng", crafted_rng)
-    monkeypatch.setattr(lwpll.consistency, "_draw_one_at_a_time", redo)
-    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 1)
-    assert_draws_equal_reference(monkeypatch, 200, 17, (1, 3, 3))
-    assert redone == [(0, 3)]
-    redone.clear()
-    monkeypatch.setattr(lwpll.consistency, "MAX_DRAW_WORDS", 2**14)
-    assert_draws_equal_reference(monkeypatch, 200, 17, (1, 3, 3))
-    assert redone == [(0, 200)]

@@ -192,6 +192,17 @@ def test_sample_always_contains_label():
     assert masks[np.arange(500), labels].all()
 
 
+def test_sample_set_is_the_one_label_case_of_sample_sets():
+    models = (make_uniform(4, 0.6), make_case(8, 3), make_uniform(3, 0.8, reject_full=True))
+    for seed in range(20):
+        for m in models:
+            y = seed % m.num_classes
+            a, b = make_rng(seed), make_rng(seed)
+            for _ in range(5):
+                assert m.sample_set(y, a).tolist() == m.sample_sets(np.array([y]), b)[0].tolist()
+            assert a.random(3).tolist() == b.random(3).tolist()
+
+
 def test_sample_rejects_bad_label():
     m = make_uniform(3, 0.2)
     rng = make_rng(1)

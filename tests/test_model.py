@@ -183,6 +183,8 @@ def test_trainer_config_validation():
         TrainerConfig(learning_rate=0.1, epochs=-1)
     with pytest.raises(ValueError):
         TrainerConfig(learning_rate=0.1, epochs=1, weight_decay=-0.5)
+    with pytest.raises(ValueError, match="weight_decay"):
+        TrainerConfig(learning_rate=0.1, epochs=1, weight_decay=float("nan"))
 
 
 def test_learning_rate_halving():
