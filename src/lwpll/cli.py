@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -82,80 +83,110 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_seed(text) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"must be >= 0, got {seed}")
-    return seed
+def _list_of(cast):
+    """Caster of a comma-separated list; blank items are skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(cast(tok) for tok in text.split(",") if tok.strip())
+    parse.__name__ = f"{cast.__name__} list"  # argparse names it in its errors
+    return parse
 
 
-def _flag_seed(seed: int) -> int:
-    """A --seed value, through the seed check of the config keys."""
-    try:
-        return _parse_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"--seed {exc}") from None
+def _must(rule: str, holds):
+    """A check: None if holds(value), else the problem with the value. Every
+    float must be finite, whatever the rule."""
+    def check(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"must be finite, got {value}"
+        return None if holds(value) else f"must {rule}, got {value!r}"
+    return check
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    seeds = tuple(_parse_seed(tok) for tok in text.split(",") if tok.strip())
+def _at_least(low):
+    return _must(f"be >= {low}", lambda v: v >= low)
+
+
+def _one_of(*choices):
+    return _must(f"be one of {', '.join(choices)}", choices.__contains__)
+
+
+def _seed_list(seeds) -> str | None:
     if not seeds:
-        raise ValueError("seeds list is empty")
+        return "must name at least one seed"
     for i, seed in enumerate(seeds):
+        if seed < 0:
+            return f"must be >= 0, got {seed}"
         if seed in seeds[:i]:
-            raise ValueError(f"duplicate seed {seed}")
-    return seeds
+            return f"duplicate seed {seed}"
+    return None
 
 
-# key -> (caster, default). The effective config always carries every key.
+_ANY = _must("", lambda v: True)
+_FRACTION = _must("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+# key -> (caster, default, check). The effective config always carries every
+# key, and every value in it has passed its check.
 _SCHEMA = {
-    "dataset.kind": (str, "gaussian"),
-    "dataset.csv": (str, ""),
-    "dataset.test_csv": (str, ""),
-    "dataset.images": (str, ""),
-    "dataset.labels": (str, ""),
-    "dataset.test_images": (str, ""),
-    "dataset.test_labels": (str, ""),
-    "dataset.limit": (int, 0),
-    "dataset.num_classes": (int, 0),
-    "dataset.standardize": (_parse_bool, False),
-    "gaussian.classes": (int, 3),
-    "gaussian.dim": (int, 2),
-    "gaussian.n": (int, 3000),
-    "gaussian.separation": (float, 4.0),
-    "gaussian.sigma": (float, 1.0),
-    "gaussian.test_n": (int, 1000),
-    "gaussian.seed": (int, 0),
-    "generation.kind": (str, "uniform"),
-    "generation.q": (float, 0.3),
-    "generation.q1": (float, 0.5),
-    "generation.q2": (float, 0.3),
-    "generation.q3": (float, 0.1),
-    "generation.reject_full": (_parse_bool, False),
-    "generation.seed": (_parse_seed, 0),
-    "model.arch": (str, "linear"),
-    "model.hidden": (int, 64),
-    "loss.psi": (str, "sigmoid"),
-    "loss.beta": (float, 1.0),
-    "loss.alpha": (float, 1.0),
-    "trainer.learning_rate": (float, 0.05),
-    "trainer.epochs": (int, 30),
-    "trainer.batch_size": (int, 256),
-    "trainer.momentum": (float, 0.9),
-    "trainer.weight_decay": (float, 0.0),
-    "trainer.lr_halving_period": (int, 50),
-    "trainer.val_fraction": (float, 0.1),
-    "trainer.per_batch_weight_update": (_parse_bool, False),
-    "seeds": (_parse_seeds, (0,)),
-    "output.dir": (str, "out"),
+    "dataset.kind": (str, "gaussian", _one_of("gaussian", "csv", "idx")),
+    "dataset.csv": (str, "", _ANY),
+    "dataset.test_csv": (str, "", _ANY),
+    "dataset.images": (str, "", _ANY),
+    "dataset.labels": (str, "", _ANY),
+    "dataset.test_images": (str, "", _ANY),
+    "dataset.test_labels": (str, "", _ANY),
+    "dataset.limit": (int, 0, _at_least(0)),
+    "dataset.num_classes": (int, 0, _must("be 0 or >= 2", lambda v: v == 0 or v >= 2)),
+    "dataset.standardize": (_parse_bool, False, _ANY),
+    "gaussian.classes": (int, 3, _at_least(2)),
+    "gaussian.dim": (int, 2, _at_least(1)),
+    "gaussian.n": (int, 3000, _at_least(1)),
+    "gaussian.separation": (float, 4.0, _ANY),
+    "gaussian.sigma": (float, 1.0, _at_least(0)),
+    "gaussian.test_n": (int, 1000, _at_least(0)),
+    "gaussian.seed": (int, 0, _at_least(0)),
+    "generation.kind": (str, "uniform", _one_of("uniform", "case1", "case2", "case3", "none")),
+    "generation.q": (float, 0.3, _FRACTION),
+    "generation.q1": (float, 0.5, _FRACTION),
+    "generation.q2": (float, 0.3, _FRACTION),
+    "generation.q3": (float, 0.1, _FRACTION),
+    "generation.reject_full": (_parse_bool, False, _ANY),
+    "generation.seed": (int, 0, _at_least(0)),
+    "model.arch": (str, "linear", _one_of("linear", "mlp")),
+    "model.hidden": (int, 64, _at_least(1)),
+    "loss.psi": (str, "sigmoid", _one_of(*_TRAINABLE_PSI)),
+    "loss.beta": (float, 1.0, _at_least(0)),
+    "loss.alpha": (float, 1.0, _at_least(0)),
+    "trainer.learning_rate": (float, 0.05, _must("be > 0", lambda v: v > 0)),
+    "trainer.epochs": (int, 30, _at_least(0)),
+    "trainer.batch_size": (int, 256, _at_least(1)),
+    "trainer.momentum": (float, 0.9, _FRACTION),
+    "trainer.weight_decay": (float, 0.0, _at_least(0)),
+    "trainer.lr_halving_period": (int, 50, _at_least(1)),
+    "trainer.val_fraction": (float, 0.1, _FRACTION),
+    "trainer.per_batch_weight_update": (_parse_bool, False, _ANY),
+    "seeds": (_list_of(int), (0,), _seed_list),
+    "output.dir": (str, "out", _ANY),
 }
 
-_CHOICES = {
-    "dataset.kind": ("gaussian", "csv", "idx"),
-    "generation.kind": ("uniform", "case1", "case2", "case3", "none"),
-    "model.arch": ("linear", "mlp"),
-    "loss.psi": _TRAINABLE_PSI,
-}
+
+def _checked(values: dict) -> dict:
+    """`values` if it holds only schema keys, each passing its check."""
+    unknown = sorted(set(values) - set(_SCHEMA))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, (_, _, check) in _SCHEMA.items():
+        problem = check(values[key])
+        if problem is not None:
+            raise ConfigError(f"{key}: {problem}")
+    return values
+
+
+def _flag(flag: str, value, check):
+    """`value` of a command-line flag if it passes `check`; else an error
+    naming the flag."""
+    problem = check(value)
+    if problem is not None:
+        raise ConfigError(f"{flag} {problem}")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -175,34 +206,16 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 class ExperimentConfig:
-    """Typed, fully defaulted view of a config mapping."""
+    """Typed, fully defaulted, checked view of a config mapping."""
 
     def __init__(self, raw: dict[str, str]):
-        unknown = sorted(set(raw) - set(_SCHEMA))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = {}
-        for key, (cast, default) in _SCHEMA.items():
-            if key in raw:
-                try:
-                    values[key] = cast(raw[key])
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
-            else:
-                values[key] = default
-        for key, choices in _CHOICES.items():
-            if values[key] not in choices:
-                raise ConfigError(
-                    f"{key} must be one of {', '.join(choices)}, got {values[key]!r}"
-                )
-        self.values = values
-
-    @classmethod
-    def from_values(cls, values: dict) -> "ExperimentConfig":
-        """Config over already-typed values, one for every schema key."""
-        cfg = cls.__new__(cls)
-        cfg.values = values
-        return cfg
+        values = dict(raw)  # unknown keys stay for the check pass to name
+        for key, (cast, default, _) in _SCHEMA.items():
+            try:
+                values[key] = cast(raw[key]) if key in raw else default
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        self.values = _checked(values)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -213,7 +226,10 @@ class ExperimentConfig:
         return self.values[key]
 
     def override(self, **pairs) -> "ExperimentConfig":
-        return ExperimentConfig.from_values({**self.values, **pairs})
+        """A copy with typed values replaced, through the same check pass."""
+        cfg = object.__new__(ExperimentConfig)
+        cfg.values = _checked({**self.values, **pairs})
+        return cfg
 
     def normalized_lines(self, extra: dict | None = None) -> list[str]:
         """Canonical `key=value` lines (sorted, output.dir excluded)."""
@@ -262,19 +278,24 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
     kind = cfg["dataset.kind"]
     if kind == "gaussian":
         n, test_n = cfg["gaussian.n"], cfg["gaussian.test_n"]
-        full = make_gaussian_task(
-            cfg["gaussian.classes"],
-            cfg["gaussian.dim"],
-            n + test_n,
-            cfg["gaussian.separation"],
-            cfg["gaussian.sigma"],
-            cfg["gaussian.seed"] + seed_shift,
-        )
+        task = ("gaussian.classes", "gaussian.dim", "gaussian.separation", "gaussian.sigma")
+        classes, dim, separation, sigma = (cfg[key] for key in task)
+        try:
+            # An overflowing draw fails the features' finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = make_gaussian_task(classes, dim, n + test_n, separation, sigma,
+                                          cfg["gaussian.seed"] + seed_shift)
+        except ValueError as exc:
+            named = ", ".join(f"{key}={cfg[key]!r}" for key in task)
+            raise ConfigError(f"{named}: {exc}") from None
         train_ds = take(full, np.arange(n))
         test_ds = take(full, np.arange(n, n + test_n)) if test_n > 0 else None
         return train_ds, test_ds
     if kind == "idx":
-        for key in ("dataset.images", "dataset.labels"):
+        required = ["dataset.images", "dataset.labels"]
+        if cfg["dataset.test_images"] or cfg["dataset.test_labels"]:
+            required += ["dataset.test_images", "dataset.test_labels"]
+        for key in required:
             if not cfg[key]:
                 raise ConfigError(f"dataset.kind=idx requires {key}")
         train_ds = load_idx(cfg["dataset.images"], cfg["dataset.labels"])
@@ -565,6 +586,7 @@ def _sweep_variants(betas, ablation: bool):
         return [(f"alpha{a:g}_beta{b:g}", a, b) for a, b in ABLATION_VARIANTS]
     if not betas:
         raise ConfigError("--beta must name at least one beta")
+    betas = [_flag("--beta", b, _SCHEMA["loss.beta"][2]) for b in betas]
     variants = [(f"beta{b:g}", 1.0, b) for b in betas]
     for i, (label, _, beta) in enumerate(variants):
         for other_label, _, other in variants[:i]:
@@ -585,8 +607,9 @@ def cmd_sweep(
     """Paired runs across loss variants with a mean/std summary table."""
     betas = tuple(betas) if betas is not None else _DEFAULT_SWEEP_BETAS
     variants = _sweep_variants(betas, ablation)
-    if not cfg[_TEST_SET_KEY[cfg["dataset.kind"]]]:
-        raise ConfigError("sweep needs a test set to summarize accuracy")
+    test_key = _TEST_SET_KEY[cfg["dataset.kind"]]
+    if not cfg[test_key]:
+        raise ConfigError(f"sweep needs a test set, but {test_key} = {cfg[test_key]!r}")
 
     def manifest_body(stage: str, fp: str, outcomes: list[RunOutcome]) -> dict:
         by_variant: dict[tuple[float, float], list[RunOutcome]] = {}
@@ -637,9 +660,8 @@ def cmd_verify(
             f"--k-list values must lie in 1..{consistency.MAX_ENUMERATION_CLASSES}, "
             f"got {','.join(str(k) for k in k_values)}"
         )
-    if trials < 0:
-        raise ConfigError(f"--trials must be >= 0, got {trials}")
-    _flag_seed(seed)
+    _flag("--trials", trials, _at_least(0))
+    _flag("--seed", seed, _SCHEMA["generation.seed"][2])
     if trials == 0:
         print("warning: trials=0, certification is vacuous", file=sys.stderr)
         print(json.dumps({"pass": True, "max_discrepancy": 0.0, "instances": 0}))
@@ -736,18 +758,10 @@ def _load_cli_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = (_flag_seed(args.seed),)
+        overrides["seeds"] = (_flag("--seed", args.seed, _SCHEMA["generation.seed"][2]),)
     if getattr(args, "out", None):
         overrides["output.dir"] = args.out
     return cfg.override(**overrides) if overrides else cfg
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def main(argv=None) -> int:
@@ -768,20 +782,21 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("train", help="train one run per seed"))
     p_sweep = sub.add_parser("sweep", help="paired runs across loss settings")
     add_common(p_sweep)
-    p_sweep.add_argument(
+    variants = p_sweep.add_mutually_exclusive_group()
+    variants.add_argument(
         "--beta",
-        action="append",
-        type=_parse_float_list,
-        help="betas to sweep; repeat the flag or pass a comma-separated list",
+        action="extend",
+        type=_list_of(float),
+        help="betas to sweep, finite and >= 0; repeat the flag or pass a comma-separated list",
     )
-    p_sweep.add_argument(
+    variants.add_argument(
         "--ablation",
         action="store_true",
         help="run the (alpha,beta) in {(1,0),(0,1),(1,1)} comparison instead",
     )
     p_verify = sub.add_parser("verify", help="run the numerical certification suite")
     add_common(p_verify, needs_config=False)
-    p_verify.add_argument("--k-list", type=_parse_int_list, default=(2, 3, 4, 5, 6, 7, 8))
+    p_verify.add_argument("--k-list", type=_list_of(int), default=(2, 3, 4, 5, 6, 7, 8))
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
@@ -803,30 +818,13 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(_load_cli_config(args), quiet=args.quiet)
         if args.command == "sweep":
-            betas = None
-            if args.beta is not None:
-                betas = tuple(b for chunk in args.beta for b in chunk)
-            return cmd_sweep(
-                _load_cli_config(args),
-                betas=betas,
-                ablation=args.ablation,
-                quiet=args.quiet,
-            )
+            return cmd_sweep(_load_cli_config(args), betas=args.beta,
+                             ablation=args.ablation, quiet=args.quiet)
         if args.command == "verify":
-            return cmd_verify(
-                k_values=args.k_list,
-                trials=args.trials,
-                seed=args.seed,
-                inject_beta_error=args.inject_beta_error,
-                quiet=args.quiet,
-            )
-        return cmd_eval(
-            args.checkpoint,
-            args.csv,
-            confusion_path=args.confusion,
-            num_classes=args.num_classes,
-            quiet=args.quiet,
-        )
+            return cmd_verify(k_values=args.k_list, trials=args.trials, seed=args.seed,
+                              inject_beta_error=args.inject_beta_error, quiet=args.quiet)
+        return cmd_eval(args.checkpoint, args.csv, confusion_path=args.confusion,
+                        num_classes=args.num_classes, quiet=args.quiet)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 
@@ -236,6 +237,16 @@ def test_sweep_rejects_an_empty_beta_list(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_rejects_beta_with_ablation(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    for flags in (["--ablation", "--beta", "5"], ["--beta", "5", "--ablation"]):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", cfg_path, "--quiet"] + flags)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "serial"})
     assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
@@ -382,6 +393,13 @@ def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):
     assert not (tmp_path / "csv").exists()
 
 
+def test_sweep_without_a_test_set_names_its_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "gaussian.test_n = 0\n", **{"output.dir": tmp_path / "out"})
+    assert main(["sweep", "--config", cfg_path, "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: sweep needs a test set, but gaussian.test_n = 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_source_is_read_once_per_command(tmp_path, monkeypatch):
     gen_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "gen"})
     assert main(["generate", "--config", gen_path, "--quiet"]) == 0
@@ -457,6 +475,27 @@ def test_negative_seeds_fail_before_any_run_directory(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("given, missing", [
+    ("dataset.test_images", "dataset.test_labels"),
+    ("dataset.test_labels", "dataset.test_images"),
+])
+def test_idx_test_set_needs_both_files_before_any_run_directory(tmp_path, capsys,
+                                                                given, missing):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)))
+    labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    text = (f"dataset.kind = idx\ndataset.images = {images}\ndataset.labels = {labels}\n"
+            f"{given} = {images if given.endswith('images') else labels}\n")
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+    for command in ("generate", "train"):
+        assert main([command, "--config", cfg_path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: dataset.kind=idx requires {missing}\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_lw_threads_fails_before_any_run_directory(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
     for value in ("abc", "0", "-2", "1.5"):
@@ -487,10 +526,11 @@ def write_huge_feature_csvs(tmp_path):
 FAILURES = {  # command, config text (None: overflowing CSV), exit status, message
     "generate_bad_q": (
         ["generate"], BASE_CONFIG.replace("generation.q = 0.3", "generation.q = 1.5"),
-        2, "q must lie in [0, 1)",
+        2, "generation.q: must lie in [0, 1)",
     ),
     "train_bad_val_fraction": (
-        ["train"], BASE_CONFIG + "trainer.val_fraction = 1.5\n", 2, "val_fraction must lie",
+        ["train"], BASE_CONFIG + "trainer.val_fraction = 1.5\n", 2,
+        "trainer.val_fraction: must lie",
     ),
     "train_diverges": (["train"], None, 1, "diverged"),
     "sweep_diverges": (["sweep", "--beta", "0,1"], None, 1, "diverged"),
