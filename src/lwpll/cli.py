@@ -726,19 +726,21 @@ def cmd_eval(
     checkpoint_path: str,
     csv_path: str,
     confusion_path: str = "confusion.csv",
-    num_classes: int | None = None,
     quiet: bool = False,
 ) -> int:
-    """Score a checkpoint on a labeled CSV; print accuracy, write confusion."""
+    """Score a checkpoint on a labeled CSV; print accuracy, write confusion.
+
+    The class count is the checkpoint's output width, so a CSV whose rows
+    lack the top classes still scores.
+    """
     params = load_checkpoint(checkpoint_path)
-    dataset = load_partial_csv(csv_path, num_classes=num_classes)
+    widths = params.widths
+    dataset = load_partial_csv(csv_path, num_classes=widths[-1])
     if dataset.true_labels is None:
         raise ConfigError("evaluation needs a true_label column")
-    widths = params.widths
-    if widths[0] != dataset.num_features or widths[-1] != dataset.num_classes:
+    if widths[0] != dataset.num_features:
         raise ConfigError(
-            f"checkpoint expects d={widths[0]}, K={widths[-1]}; dataset has "
-            f"d={dataset.num_features}, K={dataset.num_classes}"
+            f"checkpoint expects d={widths[0]}; dataset has d={dataset.num_features}"
         )
     preds = predict(params, dataset.features)
     acc = float(np.mean(preds == dataset.true_labels))
@@ -809,7 +811,6 @@ def main(argv=None) -> int:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--csv", required=True)
     p_eval.add_argument("--confusion", default="confusion.csv")
-    p_eval.add_argument("--num-classes", type=int)
 
     args = parser.parse_args(argv)
     try:
@@ -824,7 +825,7 @@ def main(argv=None) -> int:
             return cmd_verify(k_values=args.k_list, trials=args.trials, seed=args.seed,
                               inject_beta_error=args.inject_beta_error, quiet=args.quiet)
         return cmd_eval(args.checkpoint, args.csv, confusion_path=args.confusion,
-                        num_classes=args.num_classes, quiet=args.quiet)
+                        quiet=args.quiet)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

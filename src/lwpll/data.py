@@ -17,6 +17,7 @@ Class indices are zero-based everywhere, in files and in memory.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -161,25 +162,219 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def save_partial_csv(dataset: Dataset, path: str) -> None:
-    """Write features, candidate sets, and (if present) true labels as CSV."""
+    """Write features, candidate sets, and (if present) true labels as CSV.
+
+    Feature values are formatted in blocks of at most ``MAX_BLOCK_VALUES``,
+    and each block's records are written before the next block is formatted.
+    """
     if dataset.partial_masks is None:
         raise ValueError("dataset has no candidate masks to save")
     d = dataset.num_features
+    if d == 0:
+        raise ValueError("dataset has no feature columns to save")
     header = [f"f{j}" for j in range(d)] + ["candidates"]
+    if dataset.true_labels is not None:
+        header.append("true_label")
+    values = np.ascontiguousarray(dataset.features, dtype=np.float64).reshape(-1)
+    tails = _record_tails(dataset)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, values.size, MAX_BLOCK_VALUES):
+            text, widths = _format_fields(values[start : start + MAX_BLOCK_VALUES])
+            text = memoryview(text)
+            # A record's features end after every d-th field; a record cut
+            # by the block's end is finished by the next block.
+            pos = 0
+            for end in np.cumsum(widths)[d - 1 - start % d :: d].tolist():
+                fh.write(text[pos:end])
+                fh.write(next(tails))
+                pos = end
+            fh.write(text[pos:])
+
+
+def _record_tails(dataset: Dataset):
+    """Yield each record's ``candidates[,true_label]`` cells and line end."""
     labels = dataset.true_labels
     if labels is not None:
-        header.append("true_label")
         labels = labels.astype(np.int64).tolist()
-    # "%.17g" formats every finite float64 exactly as format(v, ".17g").
-    features_format = "%.17g," * d
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i, (row, mask) in enumerate(zip(dataset.features, dataset.partial_masks)):
-            line = features_format % tuple(row.tolist())
-            line += "|".join(map(str, np.flatnonzero(mask).tolist()))
-            if labels is not None:
-                line += f",{labels[i]}"
-            fh.write(line + "\r\n")
+    for i, mask in enumerate(dataset.partial_masks):
+        tail = "|".join(map(str, np.flatnonzero(mask).tolist()))
+        if labels is not None:
+            tail += f",{labels[i]}"
+        yield (tail + "\r\n").encode()
+
+
+# The feature formatter. A finite float64 x with 1e-6 <= |x| < 1e16 has a
+# decimal exponent E in [-6, 15]; its 17 significant digits are the integer
+# D = round(|x| * 10**(16 - E)), which lies in [1e16, 1e17). Dekker's exact
+# product gives that rounding without big integers. "%.17g" writes D in
+# fixed notation for E >= -4 and as d.ddde-0E below, and cuts trailing zeros
+# after the point, and the point when they were all zeros. So each value's
+# characters are its sign, its digits with the cut ones blanked, a point or
+# none, gathered by a layout that depends on E alone. Zeros take the layout
+# "0"; other values (|x| < 1e-6, subnormals among them, or |x| >= 1e16) are
+# formatted one at a time.
+MAX_BLOCK_VALUES = 1 << 14
+
+# Byte columns of a value's source row, which the layouts gather from: the
+# sign, the 17 digits (leading digit first), the point, then constant
+# characters. A 0 byte (a positive sign, a cut digit or point, padding) is
+# dropped from the output.
+_SIGN, _DIGITS, _DOT, _ZERO, _EXP, _MINUS, _FIVE, _SIX, _COMMA, _PAD = (
+    2, 3, 20, 21, 22, 23, 24, 25, 26, 27,
+)
+_FIELD_BYTES = 25  # the longest "%.17g," field: "-1.7976931348623157e+308,"
+_MIN_EXP, _MAX_EXP = -6, 15
+
+
+def _layout(exponent: int) -> tuple[list[int], int]:
+    """Source columns of "%.17g" for a nonzero value with this exponent.
+
+    Also returns how many of the digits come before the point.
+    """
+    digits = [_DIGITS + j for j in range(17)]
+    if exponent < -4:
+        suffix = [_EXP, _MINUS, _ZERO, _FIVE if exponent == -5 else _SIX]
+        return digits[:1] + [_DOT] + digits[1:] + suffix, 1
+    if exponent < 0:
+        return [_ZERO, _DOT] + [_ZERO] * (-exponent - 1) + digits, 0
+    whole = exponent + 1
+    return digits[:whole] + [_DOT] + digits[whole:], whole
+
+
+def _veltkamp(a):
+    """Split doubles into high and low halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(magnitude, exponent, pow10):
+    """magnitude * 10**(16 - exponent) as an exact sum hi + lo (Dekker)."""
+    b = pow10[16 - exponent]
+    hi = magnitude * b
+    a_hi, a_lo = _veltkamp(magnitude)
+    b_hi, b_lo = _veltkamp(b)
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of `_format_fields`, built on first use."""
+    c = np.arange(10_000)
+    chunk_digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
+    chunk_chars = (chunk_digits + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+    trailing_zeros = sum((c % 10**j == 0).astype(np.int8) for j in range(1, 5))
+    # Of the 16 digits after the leading one (digit 0), digit_masks[keep]
+    # keeps digit j only where j < keep.
+    kept = np.arange(1, 17) < np.arange(18)[:, None]
+    digit_masks = (kept * np.uint8(255)).view(np.uint32)
+    # 10**0..10**22 are exact doubles; np.power would not promise that.
+    pow10 = np.array([float(10**j) for j in range(23)])
+    # Layout 0 is the empty one of values formatted one at a time, layout 1
+    # is zero, and layout E - _MIN_EXP + 2 is decimal exponent E.
+    shapes = [_layout(e) for e in range(_MIN_EXP, _MAX_EXP + 1)]
+    layouts = [[], [_ZERO]] + [layout for layout, _ in shapes]
+    whole = np.array([0, 0] + [whole for _, whole in shapes])
+    columns = np.full((len(layouts), _FIELD_BYTES), _PAD)
+    widths = np.zeros(len(layouts), dtype=np.int64)
+    for i, layout in enumerate(layouts[1:], start=1):
+        columns[i, : len(layout) + 2] = [_SIGN, *layout, _COMMA]
+        # The characters that are never cut: all but the digits and point.
+        widths[i] = 1 + sum(col not in range(_DIGITS, _DOT + 1) for col in layout)
+    tables = (chunk_chars, trailing_zeros, digit_masks, pow10, columns, widths, whole)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _format_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value as ``"%.17g," % v``, concatenated, and each field's length.
+
+    The bytes equal Python's "%.17g" for every finite float64.
+    """
+    layout, lengths, source = _decompose(values)
+    fields = _apply_layouts(layout, source)
+    others = np.flatnonzero(layout == 0)
+    if others.size:
+        texts = [b"%.17g," % v for v in values[others].tolist()]
+        padded = np.array(texts, dtype=f"S{_FIELD_BYTES}")
+        fields[others] = padded.view(np.uint8).reshape(-1, _FIELD_BYTES)
+        lengths[others] = [len(text) for text in texts]
+    return fields[fields != 0], lengths
+
+
+def _decompose(values):
+    """Each value's layout, field length and source row (see the layouts)."""
+    chunk_chars, trailing_zeros, digit_masks, pow10, _, widths, whole_digits = (
+        _format_tables()
+    )
+    negative = np.signbit(values)
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-6) & (magnitude < 1e16)
+    # Values off the arithmetic path compute on 1.0, so nothing overflows.
+    magnitude[~fast] = 1.0
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    np.clip(exponent, _MIN_EXP, _MAX_EXP, out=exponent)
+    hi, lo = _scaled(magnitude, exponent, pow10)
+    # log10 may land one off next to a power of ten: where the exact product
+    # lies outside [1e16, 1e17), move E by one and scale those values again.
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        exponent[moved] += shift[moved]
+        below = moved[exponent[moved] < _MIN_EXP]
+        fast[below] = False
+        magnitude[below], exponent[below] = 1.0, 0
+        hi[moved], lo[moved] = _scaled(magnitude[moved], exponent[moved], pow10)
+    # hi is an even integer here, so rounding lo half to even rounds hi + lo
+    # half to even. The sum stays below 1e17: no double in [1e-6, 1e16)
+    # rounds up to the next power of ten at 17 digits.
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    lead, rest = np.divmod(digits, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    chunks = np.empty((values.size, 4), dtype=np.int32)
+    np.divmod(high, 10**4, out=(chunks[:, 0], chunks[:, 1]))
+    np.divmod(low, 10**4, out=(chunks[:, 2], chunks[:, 3]))
+    tz = trailing_zeros.take(chunks)  # 4 for an all-zero chunk
+    cut = tz[:, 3] + (tz[:, 3] == 4) * (
+        tz[:, 2] + (tz[:, 2] == 4) * (tz[:, 1] + (tz[:, 1] == 4) * tz[:, 0])
+    )
+    layout = np.where(fast, exponent - _MIN_EXP + 2, values == 0).astype(np.uint8)
+    # The digits before the point stay; of those after it, the trailing
+    # zeros and, with no digit left, the point go.
+    whole = whole_digits[layout]
+    keep = np.maximum(17 - cut, whole)
+    dot = keep > whole
+    lengths = widths[layout] + negative + fast * (keep + dot)
+
+    source = np.empty((values.size, 7), dtype=np.uint32)
+    source[:, 1:5] = chunk_chars.take(chunks) & digit_masks.take(keep, axis=0)
+    source_bytes = source.view(np.uint8)
+    source_bytes[:, _SIGN] = negative.view(np.uint8) * np.uint8(ord("-"))
+    source_bytes[:, _DIGITS] = lead + ord("0")
+    source_bytes[:, _DOT] = dot.view(np.uint8) * np.uint8(ord("."))
+    constants = np.frombuffer(b"0e-56,\0", dtype=np.uint8)  # _ZERO.._PAD
+    source_bytes[:, _ZERO : _PAD + 1] = constants
+    return layout, lengths, source
+
+
+def _apply_layouts(layout, source):
+    """Apply each layout to its values' source rows as one column gather."""
+    columns = _format_tables()[4]  # each layout's source columns
+    order = np.argsort(layout, kind="stable")
+    rows = source.take(order, axis=0).view(np.uint8)
+    fields = np.empty((layout.size, _FIELD_BYTES), dtype=np.uint8)
+    start = 0
+    for i, count in enumerate(np.bincount(layout).tolist()):
+        if count:
+            group = slice(start, start + count)
+            fields[group] = rows[group, columns[i]]
+            start += count
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(layout.size)
+    return fields.take(inverse, axis=0)
 
 
 def _parse_int(text: str, what: str, where: str) -> int:

@@ -341,6 +341,37 @@ def test_eval_architecture_mismatch(tmp_path):
     assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(wide)]) == 2
 
 
+def test_eval_takes_the_class_count_from_the_checkpoint(tmp_path, capsys):
+    four_classes = (
+        BASE_CONFIG.replace("gaussian.classes = 3", "gaussian.classes = 4")
+        .replace("gaussian.dim = 2", "gaussian.dim = 3")
+        .replace("seeds = 0,1", "seeds = 0")
+        .replace("trainer.epochs = 2", "trainer.epochs = 1")
+    )
+    cfg_path = write_config(tmp_path, four_classes, **{"output.dir": tmp_path / "out"})
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    checkpoint = next((tmp_path / "out").iterdir()) / "checkpoint_seed0.bin"
+    # No row is of class 3, so the CSV alone would suggest K=3.
+    csv_path = tmp_path / "no_top_class.csv"
+    csv_path.write_text(
+        "f0,f1,f2,candidates,true_label\n0.1,0.2,0.3,0|1,0\n-1.0,2.0,0.5,2,2\n"
+    )
+    confusion = tmp_path / "confusion.csv"
+    argv = ["eval", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+            "--confusion", str(confusion)]
+    assert main(argv) == 0
+    assert "accuracy=" in capsys.readouterr().out
+    lines = confusion.read_text().splitlines()
+    assert lines[0] == "true_label,pred_0,pred_1,pred_2,pred_3"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+    assert sum(int(c) for line in lines[1:] for c in line.split(",")[1:]) == 2
+    csv_path.write_text("f0,f1,f2,candidates,true_label\n0.1,0.2,0.3,4,4\n")
+    assert main(argv) == 2
+    assert "class index 4" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(argv + ["--num-classes", "4"])
+
+
 def test_eval_rejects_malformed_inputs_with_exit_2(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,

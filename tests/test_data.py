@@ -1,6 +1,9 @@
 """Dataset containers, file formats, and the synthetic Gaussian task."""
 
 import struct
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from lwpll import (
     take,
     with_candidates,
 )
-from lwpll.data import simplex_vertices
+from lwpll.data import MAX_BLOCK_VALUES, _format_fields, simplex_vertices
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2):
@@ -101,7 +104,7 @@ def test_load_idx_scales_bytes():
 def test_load_idx_bad_magic(tmp_path):
     img, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1])
     broken = tmp_path / "broken.idx"
-    blob = open(img, "rb").read()
+    blob = Path(img).read_bytes()
     broken.write_bytes(b"\x00\x00\x08\x05" + blob[4:])
     with pytest.raises(ValueError):
         load_idx(str(broken), lab)
@@ -110,7 +113,7 @@ def test_load_idx_bad_magic(tmp_path):
 def test_load_idx_truncated(tmp_path):
     img, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1])
     clipped = tmp_path / "clipped.idx"
-    clipped.write_bytes(open(img, "rb").read()[:-3])
+    clipped.write_bytes(Path(img).read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_idx(str(clipped), lab)
 
@@ -275,6 +278,109 @@ def test_csv_num_classes_override(tmp_path):
     assert load_partial_csv(str(path), num_classes=5).num_classes == 5
     with pytest.raises(ValueError):
         load_partial_csv(str(path), num_classes=1)
+
+
+# feature formatting: the block formatter against Python's "%.17g"
+
+
+def reference_save_partial_csv(dataset, path):
+    """The per-row "%.17g" writer whose bytes `save_partial_csv` must match."""
+    d = dataset.num_features
+    header = [f"f{j}" for j in range(d)] + ["candidates"]
+    labels = dataset.true_labels
+    if labels is not None:
+        header.append("true_label")
+        labels = labels.astype(np.int64).tolist()
+    features_format = "%.17g," * d
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, (row, mask) in enumerate(zip(dataset.features, dataset.partial_masks)):
+            line = features_format % tuple(row.tolist())
+            line += "|".join(map(str, np.flatnonzero(mask).tolist()))
+            if labels is not None:
+                line += f",{labels[i]}"
+            fh.write(line + "\r\n")
+
+
+def assert_formats_as_percent_17g(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for start in range(0, values.size, MAX_BLOCK_VALUES):
+        block = values[start : start + MAX_BLOCK_VALUES].tolist()
+        text, widths = _format_fields(np.array(block))
+        want = ("%.17g," * len(block) % tuple(block)).encode()
+        if text.tobytes() != want:
+            pairs = zip(block, text.tobytes().split(b","), want.split(b","))
+            first = next((v for v, g, w in pairs if g != w), None)
+            pytest.fail(f"first mismatch at {first!r}")
+        commas = np.flatnonzero(np.frombuffer(want, dtype=np.uint8) == ord(","))
+        assert np.array_equal(np.cumsum(widths), commas + 1)
+
+
+def largest_double_below(power):
+    x = float(power)
+    return x if Fraction(x) < power else float(np.nextafter(x, 0.0))
+
+
+def test_formatter_matches_percent_17g_on_random_bit_patterns():
+    rng = make_rng(401)
+    bits = rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64)
+    # Half keep any exponent; half get one from about 2**-24 to 2**58, around
+    # the arithmetic path's [1e-6, 1e16), so that path sees most of them.
+    half = bits.size // 2
+    exponents = rng.integers(1023 - 24, 1023 + 58, size=half, dtype=np.uint64)
+    bits[half:] = (bits[half:] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+    values = bits.view(np.float64)
+    assert_formats_as_percent_17g(values[np.isfinite(values)])
+
+
+def test_formatter_boundaries():
+    edges = [0.0, 5e-324, sys.float_info.min, sys.float_info.max, 1e-4, 1e-5]
+    # The arithmetic path covers 1e-6 <= |x| < 1e16; 1e-6 itself lies just
+    # below 10**-6, so it is its own boundary.
+    edges += [1e-6, np.nextafter(1e-6, 0.0), 1e16, np.nextafter(1e16, 0.0)]
+    # Exact 17-digit ties, which round half to even.
+    edges += [1e14 + 0.125, 1e14 + 0.375, 1e15 + 0.25, 1e15 + 0.75]
+    # Next to each power of ten, where log10 and the rounding can move the
+    # exponent. The largest double below a power is the only one whose 17
+    # digits can round up to it; that happens (e.g. 1e-14, 1e98) only outside
+    # the arithmetic path, which does not handle it.
+    for m in range(-320, 309):
+        below = largest_double_below(Fraction(10) ** m)
+        edges += [below, float(np.nextafter(below, np.inf)), float(np.nextafter(below, 0.0))]
+    edges = np.array(edges)
+    assert_formats_as_percent_17g(np.concatenate([edges, -edges]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_formatter_property(values):
+    assert_formats_as_percent_17g(values)
+
+
+def test_csv_bytes_match_the_reference_writer_across_blocks(tmp_path):
+    rng = make_rng(409)
+    # 25 x 784 values span two blocks, the second starting inside a record;
+    # zeros, tiny and huge values take every formatting path.
+    wide = random_dataset(rng, n=25, d=784, k=10)
+    features = wide.features * 10.0 ** rng.integers(-8, 18, size=wide.features.shape)
+    features[rng.random(features.shape) < 0.3] = 0.0
+    features[0, :4] = [-0.0, 5e-324, -1e300, np.nextafter(1e16, 0.0)]
+    wide = Dataset(features, 10, true_labels=wide.true_labels,
+                   partial_masks=wide.partial_masks)
+    # d = 1 with more records than a block holds values.
+    narrow = random_dataset(rng, n=MAX_BLOCK_VALUES + 100, d=1, k=3, with_labels=False)
+    for ds in (wide, narrow):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_partial_csv(ds, str(got))
+        reference_save_partial_csv(ds, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_save_rejects_a_dataset_without_features(tmp_path):
+    masks = np.ones((2, 2), dtype=bool)
+    with pytest.raises(ValueError):
+        save_partial_csv(Dataset(np.zeros((2, 0)), 2, partial_masks=masks),
+                         str(tmp_path / "empty.csv"))
 
 
 # synthetic Gaussians
