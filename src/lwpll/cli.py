@@ -288,8 +288,8 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
         except ValueError as exc:
             named = ", ".join(f"{key}={cfg[key]!r}" for key in task)
             raise ConfigError(f"{named}: {exc}") from None
-        train_ds = take(full, np.arange(n))
-        test_ds = take(full, np.arange(n, n + test_n)) if test_n > 0 else None
+        train_ds = take(full, slice(n))
+        test_ds = take(full, slice(n, None)) if test_n > 0 else None
         return train_ds, test_ds
     if kind == "idx":
         required = ["dataset.images", "dataset.labels"]

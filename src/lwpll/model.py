@@ -372,7 +372,12 @@ def save_checkpoint(params: NetworkParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> NetworkParams:
-    """Inverse of `save_checkpoint`, validating magic, version, and size."""
+    """Inverse of `save_checkpoint`, validating magic, version, and size.
+
+    Also rejects a network that cannot score: no layers, a layer of width 0,
+    a layer whose input width is not the previous layer's output width, or
+    a non-finite weight or bias.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CHECKPOINT_MAGIC:
@@ -382,15 +387,24 @@ def load_checkpoint(path: str) -> NetworkParams:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if count == 0:
+        raise ValueError(f"{path}: checkpoint has no layers")
     offset = 12
     shapes = []
-    for _ in range(count):
+    for i in range(count):
         if offset + 9 > len(blob):
             raise ValueError(f"{path}: truncated checkpoint")
         out_w, in_w, code = struct.unpack_from("<IIB", blob, offset)
         offset += 9
         if code not in _ACTIVATION_NAMES:
             raise ValueError(f"{path}: unknown activation code {code}")
+        if out_w == 0 or in_w == 0:
+            raise ValueError(f"{path}: layer {i} has width 0 ({out_w}x{in_w})")
+        if shapes and in_w != shapes[-1][0]:
+            raise ValueError(
+                f"{path}: layer {i} takes {in_w} inputs but layer {i - 1} "
+                f"gives {shapes[-1][0]}"
+            )
         shapes.append((out_w, in_w, _ACTIVATION_NAMES[code]))
     layers = []
     for out_w, in_w, act in shapes:
@@ -404,6 +418,8 @@ def load_checkpoint(path: str) -> NetworkParams:
         offset += 8 * n_w
         b = np.frombuffer(blob, dtype="<f8", count=n_b, offset=offset)
         offset += 8 * n_b
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {len(layers)} has non-finite parameters")
         layers.append(Layer(W=W.copy(), b=b.copy(), activation=act))
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lwpll import load_partial_csv
+from lwpll import Layer, NetworkParams, load_partial_csv, save_checkpoint
 from lwpll.cli import ConfigError, ExperimentConfig, main, parse_config_text
 
 BASE_CONFIG = """
@@ -401,6 +401,29 @@ def test_eval_rejects_malformed_inputs_with_exit_2(tmp_path, capsys):
     truncated.write_bytes(b"LWNN\x01")
     assert main(["eval", "--checkpoint", str(truncated), "--csv", str(good_csv)]) == 2
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_that_cannot_score_with_exit_2(tmp_path, capsys):
+    def layer(out_w, in_w, fill=0.5):
+        return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w), activation="identity")
+
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("f0,f1,candidates,true_label\n1.0,2.0,0,0\n")
+    broken = {
+        "zero_layers": [],
+        "zero_width": [layer(3, 0)],
+        "mismatch": [layer(4, 2), layer(3, 5)],
+        "all_nan": [layer(4, 2, fill=np.nan), layer(3, 4, fill=np.nan)],
+    }
+    for name, layers in broken.items():
+        path = tmp_path / f"{name}.bin"
+        save_checkpoint(NetworkParams(layers), path)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--csv", str(good_csv)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), (name, lines)
 
 
 def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):

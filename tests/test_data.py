@@ -2,6 +2,8 @@
 
 import struct
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,6 +282,53 @@ def test_csv_num_classes_override(tmp_path):
         load_partial_csv(str(path), num_classes=1)
 
 
+def test_csv_error_names_the_first_bad_line_in_file_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    cases = [
+        ("1.0,0\nabc,0\n2.0,1\n3.0,\n", ":3: non-numeric feature"),
+        ("1.0,0\n3.0,\n2.0,1\nabc,0\n", ":3: empty candidate cell"),
+        ("1.0,0\ninf,0\n2.0,1\nabc,0\n", ":3: non-finite feature"),
+        ("1.0,0\n2.0,1\n3.0,0\n,0\n", ":5: non-numeric feature"),
+    ]
+    for rows, message in cases:
+        path.write_text("f0,candidates\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_partial_csv(str(path))
+        assert str(info.value) == f"{path}{message}", rows
+
+
+def test_csv_without_records_fails_without_a_warning(tmp_path):
+    path = tmp_path / "header_only.csv"
+    for text in ("f0,f1,candidates,true_label\r\n", "f0,candidates\n\n\r\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                load_partial_csv(str(path))
+        assert str(info.value) == f"{path}: no data rows"
+
+
+def traced_peak(fn):
+    """fn's result and the peak of Python-tracked memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_csv_load_peaks_near_the_feature_matrix(tmp_path):
+    # The loader streams records into one parse and keeps no file text.
+    rng = make_rng(331)
+    path = tmp_path / "corpus.csv"
+    save_partial_csv(random_dataset(rng, n=2000, d=64, k=10), str(path))
+    ds, peak = traced_peak(lambda: load_partial_csv(str(path)))
+    assert ds.features.shape == (2000, 64)
+    assert peak <= 2 * ds.features.nbytes
+
+
 # feature formatting: the block formatter against Python's "%.17g"
 
 
@@ -426,6 +475,29 @@ def test_gaussian_task_deterministic():
     assert np.array_equal(a.true_labels, b.true_labels)
     c = make_gaussian_task(3, 2, 50, class_separation=2.0, noise_sigma=0.5, seed=4)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_gaussian_task_bytes_equal_the_literal_draw():
+    # Signed zeros: with separation 0, means[y] holds -0.0 where a vertex
+    # coordinate is negative, and sigma 0 scales the draw to +-0.0.
+    for k, dim, n in ((3, 2, 90), (10, 64, 700), (2, 2 * MAX_BLOCK_VALUES, 3)):
+        for separation in (0.0, 3.0):
+            for sigma in (0.0, 1.0):
+                ds = make_gaussian_task(k, dim, n, separation, sigma, seed=17)
+                rng = make_rng(17)
+                y = rng.integers(0, k, size=n)
+                z = rng.standard_normal((n, dim))
+                means = separation * simplex_vertices(k, dim)
+                assert ds.features.tobytes() == (means[y] + sigma * z).tobytes()
+                assert ds.true_labels.tobytes() == y.tobytes()
+    zeros = make_gaussian_task(10, 64, 700, 0.0, 0.0, seed=17).features
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+@pytest.mark.parametrize("k", [10, 2])
+def test_gaussian_task_peaks_near_its_output(k):
+    ds, peak = traced_peak(lambda: make_gaussian_task(k, 64, 2000, 3.0, 1.0, seed=5))
+    assert peak <= 1.25 * ds.features.nbytes
 
 
 def test_gaussian_task_rejects_small_dim():

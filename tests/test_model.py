@@ -389,11 +389,12 @@ def test_checkpoint_round_trip(tmp_path):
         assert got.activation == exp.activation
 
 
-# Edge values on top of hypothesis's own float draws: signed zeros, the
-# smallest and a mid subnormal, the largest finite magnitudes.
+# Edge values on top of hypothesis's own finite float draws: signed zeros,
+# the smallest and a mid subnormal, the largest finite magnitudes. Loading
+# rejects non-finite parameters (see the rejection tests below).
 CHECKPOINT_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]),
-    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -461,6 +462,50 @@ def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(path)
+
+
+def linear_layer(out_w, in_w, fill=0.5):
+    return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w), activation="identity")
+
+
+def test_checkpoint_rejects_zero_layers(tmp_path):
+    path = tmp_path / "zero.bin"
+    save_checkpoint(NetworkParams([]), path)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: checkpoint has no layers"
+
+
+def test_checkpoint_rejects_a_layer_of_width_zero(tmp_path):
+    for shape in ((0, 3), (3, 0)):
+        path = tmp_path / "narrow.bin"
+        save_checkpoint(NetworkParams([linear_layer(*shape)]), path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: layer 0 has width 0 ({shape[0]}x{shape[1]})"
+
+
+def test_checkpoint_rejects_mismatched_layer_widths(tmp_path):
+    path = tmp_path / "mismatch.bin"
+    save_checkpoint(NetworkParams([linear_layer(4, 3), linear_layer(2, 5)]), path)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: layer 1 takes 5 inputs but layer 0 gives 4"
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    path = tmp_path / "nan.bin"
+    for bad in (np.nan, np.inf, -np.inf):
+        layers = [linear_layer(4, 3), linear_layer(2, 4)]
+        layers[1].b[1] = bad
+        save_checkpoint(NetworkParams(layers), path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: layer 1 has non-finite parameters"
+        save_checkpoint(NetworkParams([linear_layer(2, 3, fill=bad)]), path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: layer 0 has non-finite parameters"
 
 
 @pytest.mark.parametrize("per_batch", [False, True])
