@@ -316,6 +316,7 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
                 raise ConfigError("the test set has no true labels to score against")
     limit = cfg["dataset.limit"]
     if limit > 0 and len(train_ds) > limit:
+        # A copy, not a view, so the rows past the limit can be freed.
         train_ds = take(train_ds, np.arange(limit))
     return train_ds, test_ds
 

@@ -94,13 +94,14 @@ def take(dataset: Dataset, indices) -> Dataset:
 
     A slice gives views of the arrays; index arrays give copies.
     """
-    idx = indices if isinstance(indices, slice) else np.asarray(indices)
     return Dataset(
-        features=dataset.features[idx],
+        features=dataset.features[indices],
         num_classes=dataset.num_classes,
-        true_labels=None if dataset.true_labels is None else dataset.true_labels[idx],
+        true_labels=(
+            None if dataset.true_labels is None else dataset.true_labels[indices]
+        ),
         partial_masks=(
-            None if dataset.partial_masks is None else dataset.partial_masks[idx]
+            None if dataset.partial_masks is None else dataset.partial_masks[indices]
         ),
     )
 
@@ -398,17 +399,23 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
     (column count, candidates, label inside its set), and only its feature
     cells go on, straight into a single ``np.loadtxt`` call. No record's text
     outlives its parse, so the load peaks at about the feature matrix plus
-    one record. If the parse fails, the file is read again row by row to
-    name the first bad line.
+    one record. A record that fails its checks ends the stream; its error is
+    raised once the records before it have parsed. If the parse fails, or a
+    value is not finite, the file is read again row by row to name the first
+    bad line, so `path` must name a file that can be read twice.
     """
     labels, cand_rows, cand_cols = [], [], []
+    failed = []  # a record check's error, held until the rows before it parse
 
     def feature_cells(records):
-        for row, (_, text, cands, label) in enumerate(records):
-            labels.append(label)
-            cand_rows.extend([row] * len(cands))
-            cand_cols.extend(cands)
-            yield text
+        try:
+            for row, (_, text, cands, label) in enumerate(records):
+                labels.append(label)
+                cand_rows.extend([row] * len(cands))
+                cand_cols.extend(cands)
+                yield text
+        except ValueError as err:
+            failed.append(err)
 
     with open(path, encoding="utf-8") as fh:
         d, has_label = _read_header(fh, path)
@@ -416,14 +423,19 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
         # A file with no records never reaches loadtxt, which would warn.
         first = next(cells, None)
         if first is None:
+            if failed:
+                raise failed[0]
             raise ValueError(f"{path}: no data rows")
         try:
             features = _parse_rows(itertools.chain([first], cells))
         except ValueError:
             _raise_first_bad_line(path)
-            raise
+            raise ValueError(f"{path}: non-numeric feature") from None
     if not np.isfinite(features).all():
         _raise_first_bad_line(path)
+        raise ValueError(f"{path}: non-finite feature")
+    if failed:
+        raise failed[0]
     largest = max(cand_cols)
     inferred = largest + 1
     if num_classes is None:

@@ -26,6 +26,7 @@ from lwpll import (
     take,
     with_candidates,
 )
+from lwpll import data
 from lwpll.data import MAX_BLOCK_VALUES, _format_fields, simplex_vertices
 
 
@@ -295,6 +296,35 @@ def test_csv_error_names_the_first_bad_line_in_file_order(tmp_path):
         with pytest.raises(ValueError) as info:
             load_partial_csv(str(path))
         assert str(info.value) == f"{path}{message}", rows
+
+
+def test_csv_record_error_is_raised_without_a_second_read(tmp_path, monkeypatch):
+    # The rows before a failed record parse cleanly, so its own error stands.
+    def second_read(path):
+        raise AssertionError("read the file again")
+
+    monkeypatch.setattr(data, "_raise_first_bad_line", second_read)
+    path = tmp_path / "bad.csv"
+    for rows, message in (("3.0,\n", ":2: empty candidate cell"),
+                          ("1.0,0\n2.0,1\n3.0,\nabc,0\n", ":4: empty candidate cell")):
+        path.write_text("f0,candidates\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_partial_csv(str(path))
+        assert str(info.value) == f"{path}{message}", rows
+
+
+def test_csv_error_names_the_file_when_the_second_read_finds_nothing(
+    tmp_path, monkeypatch
+):
+    # The file may change between the two reads.
+    monkeypatch.setattr(data, "_raise_first_bad_line", lambda path: None)
+    path = tmp_path / "bad.csv"
+    for rows, message in (("1.0,0\nabc,0\n", "non-numeric feature"),
+                          ("1.0,0\ninf,0\n", "non-finite feature")):
+        path.write_text("f0,candidates\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_partial_csv(str(path))
+        assert str(info.value) == f"{path}: {message}", rows
 
 
 def test_csv_without_records_fails_without_a_warning(tmp_path):
