@@ -26,7 +26,6 @@ from .data import (
     load_partial_csv,
     make_gaussian_task,
     save_partial_csv,
-    split,
     standardize,
     take,
     with_candidates,
@@ -40,9 +39,7 @@ from .losses import (
     LWConfig,
     UnsupportedLossError,
     derived_supervised_loss,
-    lw_loss,
     lw_loss_batch,
-    lw_loss_gradient,
     lw_loss_gradient_batch,
     special_case_loss,
 )
@@ -103,9 +100,7 @@ __all__ = [
     "load_checkpoint",
     "load_idx",
     "load_partial_csv",
-    "lw_loss",
     "lw_loss_batch",
-    "lw_loss_gradient",
     "lw_loss_gradient_batch",
     "make_case",
     "make_gaussian_task",
@@ -118,7 +113,6 @@ __all__ = [
     "save_checkpoint",
     "save_partial_csv",
     "special_case_loss",
-    "split",
     "standardize",
     "supervised_risk_direct",
     "take",

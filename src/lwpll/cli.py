@@ -33,7 +33,6 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,8 +289,7 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
             raise ConfigError(f"{named}: {exc}") from None
         train_ds = take(full, slice(n))
         test_ds = take(full, slice(n, None)) if test_n > 0 else None
-        return train_ds, test_ds
-    if kind == "idx":
+    elif kind == "idx":
         required = ["dataset.images", "dataset.labels"]
         if cfg["dataset.test_images"] or cfg["dataset.test_labels"]:
             required += ["dataset.test_images", "dataset.test_labels"]
@@ -361,63 +359,44 @@ def _write_metrics_csv(path: str, fingerprint: str, metrics, test_accuracy) -> N
             fh.write(f"# test_accuracy={test_accuracy!r}\n")
 
 
-@dataclass
-class RunOutcome:
-    seed: int
-    alpha: float
-    beta: float
-    metrics_path: str
-    checkpoint_path: str
-    test_accuracy: float | None
-    final_risk: float | None
-    first_batch_indices: list[int]
-    wall_clock_seconds: float
-
-
 def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
-                 run_dir: str, fingerprint: str,
-                 source: tuple[Dataset, Dataset | None] | None) -> RunOutcome:
-    """One deterministic training run; writes its metrics CSV and checkpoint.
+                 stage: str, label: str, fingerprint: str,
+                 source: tuple[Dataset, Dataset | None] | None) -> dict:
+    """One deterministic training run into `<stage>/<label>`: writes its
+    metrics CSV and checkpoint and returns its manifest record, file names
+    relative to the stage.
 
     `source` is the command's shared (train, test) pair, or None to load
     the source for this seed.
     """
     started = time.perf_counter()
     train_ds, test_ds = _prepare_run(cfg, seed, source)
+    trainer = {key.removeprefix("trainer."): value for key, value in cfg.values.items()
+               if key.startswith("trainer.")}
     result = train(
         train_ds,
         LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"])),
-        TrainerConfig(
-            learning_rate=cfg["trainer.learning_rate"],
-            epochs=cfg["trainer.epochs"],
-            batch_size=cfg["trainer.batch_size"],
-            momentum=cfg["trainer.momentum"],
-            weight_decay=cfg["trainer.weight_decay"],
-            lr_halving_period=cfg["trainer.lr_halving_period"],
-            seed=seed,
-        ),
+        TrainerConfig(seed=seed, **trainer),
         arch=cfg["model.arch"],
         hidden=cfg["model.hidden"],
-        val_fraction=cfg["trainer.val_fraction"],
-        per_batch_weight_update=cfg["trainer.per_batch_weight_update"],
     )
     test_acc = accuracy(result.params, test_ds) if test_ds is not None else None
-    os.makedirs(run_dir, exist_ok=True)
-    metrics_path = os.path.join(run_dir, f"metrics_seed{seed}.csv")
-    checkpoint_path = os.path.join(run_dir, f"checkpoint_seed{seed}.bin")
-    _write_metrics_csv(metrics_path, fingerprint, result.metrics, test_acc)
-    save_checkpoint(result.params, checkpoint_path)
-    return RunOutcome(
-        seed=seed,
-        alpha=alpha,
-        beta=beta,
-        metrics_path=metrics_path,
-        checkpoint_path=checkpoint_path,
-        test_accuracy=test_acc,
-        final_risk=result.metrics[-1].risk if result.metrics else None,
-        first_batch_indices=[int(i) for i in result.first_batch_indices],
-        wall_clock_seconds=time.perf_counter() - started,
-    )
+    os.makedirs(os.path.join(stage, label), exist_ok=True)
+    metrics = os.path.join(label, f"metrics_seed{seed}.csv")
+    checkpoint = os.path.join(label, f"checkpoint_seed{seed}.bin")
+    _write_metrics_csv(os.path.join(stage, metrics), fingerprint, result.metrics, test_acc)
+    save_checkpoint(result.params, os.path.join(stage, checkpoint))
+    return {
+        "seed": seed,
+        "alpha": alpha,
+        "beta": beta,
+        "test_accuracy": test_acc,
+        "final_risk": result.metrics[-1].risk if result.metrics else None,
+        "first_batch_indices": [int(i) for i in result.first_batch_indices],
+        "wall_clock_seconds": time.perf_counter() - started,
+        "metrics": metrics,
+        "checkpoint": checkpoint,
+    }
 
 
 def _worker_count() -> int:
@@ -471,17 +450,6 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
                 os.rmdir(out_dir)
 
 
-def _run_record(out: RunOutcome, stage: str) -> dict:
-    """The manifest entry of one run, file names relative to the run directory."""
-    return {
-        "seed": out.seed,
-        "test_accuracy": out.test_accuracy,
-        "first_batch_indices": out.first_batch_indices,
-        "wall_clock_seconds": out.wall_clock_seconds,
-        "metrics": os.path.relpath(out.metrics_path, stage),
-    }
-
-
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
@@ -530,8 +498,9 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
     """The run loop of `train` and `sweep`: every seed of every (label,
     alpha, beta) variant trains into subdirectory `label`, in LW_THREADS
     processes. A seed's first batch must match across variants (the paired
-    design). The manifest body is `manifest_body(stage, fp, outcomes)`; a
-    diverged run or broken pairing publishes nothing and exits 1.
+    design). The manifest body is `manifest_body(stage, fp, runs)`, given
+    each run's record; a diverged run or broken pairing publishes nothing
+    and exits 1.
     """
     workers = _worker_count()
     fp = cfg.fingerprint(extra=fp_extra)
@@ -539,42 +508,40 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
     # runs. Gaussian data is drawn per seed inside each run.
     source = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, seed_shift=0)
     with _run_directory(cfg, fp, command) as (stage, publish):
-        specs = [(cfg, alpha, beta, seed, os.path.join(stage, label), fp, source)
+        specs = [(cfg, alpha, beta, seed, stage, label, fp, source)
                  for label, alpha, beta in variants for seed in cfg["seeds"]]
         try:
             if workers > 1 and len(specs) > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(_execute_run, *zip(*specs)))
+                    runs = list(pool.map(_execute_run, *zip(*specs)))
             else:
-                outcomes = [_execute_run(*spec) for spec in specs]
+                runs = [_execute_run(*spec) for spec in specs]
         except TrainingDiverged as exc:
             print(f"error: {command} {fp} diverged: {exc}", file=sys.stderr)
             return 1
         reference: dict[int, list[int]] = {}
-        for out in outcomes:
-            if reference.setdefault(out.seed, out.first_batch_indices) != out.first_batch_indices:
-                print(f"error: {command} {fp} broke pairing at seed {out.seed} "
-                      f"(alpha={out.alpha}, beta={out.beta})", file=sys.stderr)
+        for run in runs:
+            first = run["first_batch_indices"]
+            if reference.setdefault(run["seed"], first) != first:
+                print(f"error: {command} {fp} broke pairing at seed {run['seed']} "
+                      f"(alpha={run['alpha']}, beta={run['beta']})", file=sys.stderr)
                 return 1
-        publish(manifest_body(stage, fp, outcomes))
+        publish(manifest_body(stage, fp, runs))
     return 0
 
 
 def cmd_train(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Train once per seed; metrics CSV and checkpoint per run, one manifest."""
 
-    def manifest_body(stage: str, fp: str, outcomes: list[RunOutcome]) -> dict:
-        for out in outcomes:
-            shown = "n/a" if out.test_accuracy is None else f"{out.test_accuracy:.4f}"
-            _say(quiet, f"train {fp} seed {out.seed}: test_accuracy={shown} "
-                        f"({out.wall_clock_seconds:.2f}s)")
-        return {"runs": [
-            {**_run_record(out, stage), "final_risk": out.final_risk,
-             "checkpoint": os.path.relpath(out.checkpoint_path, stage)}
-            for out in outcomes
-        ]}
+    def manifest_body(stage: str, fp: str, runs: list[dict]) -> dict:
+        for run in runs:
+            acc = run["test_accuracy"]
+            shown = "n/a" if acc is None else f"{acc:.4f}"
+            _say(quiet, f"train {fp} seed {run['seed']}: test_accuracy={shown} "
+                        f"({run['wall_clock_seconds']:.2f}s)")
+        return {"runs": runs}
 
     variant = ("", cfg["loss.alpha"], cfg["loss.beta"])
     return _train_variants(cfg, "train", [variant], manifest_body)
@@ -612,25 +579,23 @@ def cmd_sweep(
     if not cfg[test_key]:
         raise ConfigError(f"sweep needs a test set, but {test_key} = {cfg[test_key]!r}")
 
-    def manifest_body(stage: str, fp: str, outcomes: list[RunOutcome]) -> dict:
-        by_variant: dict[tuple[float, float], list[RunOutcome]] = {}
-        for out in outcomes:
-            by_variant.setdefault((out.alpha, out.beta), []).append(out)
+    def manifest_body(stage: str, fp: str, runs: list[dict]) -> dict:
+        by_variant: dict[tuple[float, float], list[dict]] = {}
+        for run in runs:
+            by_variant.setdefault((run["alpha"], run["beta"]), []).append(run)
         with open(os.path.join(stage, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# fingerprint={fp}\n")
             fh.write("variant,alpha,beta,mean_test_accuracy,std_test_accuracy,seeds\n")
             for label, alpha, beta in variants:
-                accs = [o.test_accuracy for o in by_variant[(alpha, beta)]]
+                accs = [run["test_accuracy"] for run in by_variant[(alpha, beta)]]
                 mean = float(np.mean(accs))
                 std = float(np.std(accs))
                 fh.write(f"{label},{alpha!r},{beta!r},{mean!r},{std!r},{len(accs)}\n")
                 _say(quiet, f"sweep {fp} {label}: {mean:.4f} +- {std:.4f}")
         return {
             "variants": [
-                {"label": label, "alpha": alpha, "beta": beta, "runs": [
-                    _run_record(o, stage)
-                    for o in sorted(by_variant[(alpha, beta)], key=lambda o: o.seed)
-                ]}
+                {"label": label, "alpha": alpha, "beta": beta,
+                 "runs": sorted(by_variant[(alpha, beta)], key=lambda run: run["seed"])}
                 for label, alpha, beta in variants
             ],
             "summary": "summary.csv",

@@ -3,8 +3,8 @@
 The headline check enumerates every candidate set (2^K terms, K capped at
 16) to compute the partial risk of a score vector exactly, and compares it
 against the closed-form supervised risk it must equal under the generation
-model. The two sides share no code: the enumerator works from `lw_loss` and
-set probabilities, the closed form from `derived_supervised_loss`, so
+model. The two sides share no code: the enumerator works from `lw_loss_batch`
+and set probabilities, the closed form from `derived_supervised_loss`, so
 agreement to 1e-10 over randomized instances is evidence rather than
 tautology. Companion checks certify the set-probability normalization, the
 uniform-rejection special value 1/(2^(K-1) - 1), the coefficient-ordering
@@ -167,7 +167,7 @@ def partial_risk_bruteforce(
 ) -> float | np.ndarray:
     """Exact partial risk by enumerating every candidate set per true label.
 
-    Computes sum_y p_y sum_{S with y in S} P(S | y) * lw_loss(g, S, w, cfg),
+    Computes sum_y p_y sum_{S with y in S} P(S | y) * lw_loss_batch(g, S, w, cfg),
     accumulating the terms with exact float summation; labels with p_y = 0
     contribute nothing. The loss of S does not depend on y, so it is
     evaluated once per nonempty set and shared by every label in S.

@@ -107,19 +107,12 @@ def take(dataset: Dataset, indices) -> Dataset:
 
 
 def split_indices(n: int, val_fraction: float, seed: int,
-                  stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffle range(n) with (seed, stream); hold out the last `val_fraction`."""
-    if not 0.0 <= val_fraction < 1.0:
-        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+                  stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle range(n) with (seed, stream); hold out the last `val_fraction`,
+    a fraction in [0, 1)."""
     perm = make_rng(seed, stream).permutation(n)
     cut = n - int(val_fraction * n)
     return perm[:cut], perm[cut:]
-
-
-def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Shuffle rows and hold out the last `val_fraction` as the second part."""
-    train_idx, val_idx = split_indices(len(dataset), val_fraction, seed)
-    return take(dataset, train_idx), take(dataset, val_idx)
 
 
 def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:

@@ -28,9 +28,9 @@ class GenerationModel:
     q: (K, K) array with unit diagonal and off-diagonal entries in [0, 1),
     or an (n, K, K) stack of such matrices, one model per instance of a
     batch; every matrix is validated. A stack answers `subset_probabilities`
-    for all its models at once; sampling and `set_probability` need one model.
+    for all its models at once; sampling needs one model.
     reject_full: when True, the full set {0..K-1} is rejected and resampled,
-    and `set_probability` renormalizes accordingly.
+    and `subset_probabilities` renormalizes accordingly.
     """
 
     def __init__(self, q, reject_full: bool = False):
@@ -52,10 +52,6 @@ class GenerationModel:
         self.q = q
         self.num_classes = q.shape[-1]
         self.reject_full = bool(reject_full)
-
-    def _one_model(self) -> None:
-        if self.q.ndim != 2:
-            raise ValueError("this needs one model, not a stack of them")
 
     def _full_set_mass(self, y) -> np.ndarray:
         """P(all other classes enter the set | true label y), per label in y
@@ -115,23 +111,10 @@ class GenerationModel:
             p /= 1.0 - self._full_set_mass(labels)
         return p
 
-    def set_probability(self, y: int, subset) -> float:
-        """P(candidate set = subset | true label y); 0 if y not in subset."""
-        self._one_model()
-        mask = np.asarray(subset, dtype=bool)
-        if mask.shape != (self.num_classes,):
-            raise ValueError(
-                f"subset must have shape ({self.num_classes},), got {mask.shape}"
-            )
-        return float(self.subset_probabilities(y, mask[None, :])[0])
-
-    def sample_set(self, y: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw one candidate set for true label y as a boolean mask."""
-        return self.sample_sets(np.array([int(y)]), rng)[0]
-
     def sample_sets(self, labels, rng: np.random.Generator) -> np.ndarray:
         """Draw candidate sets for a label vector; returns (n, K) boolean masks."""
-        self._one_model()
+        if self.q.ndim != 2:
+            raise ValueError("sampling needs one model, not a stack of them")
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-D integer array")

@@ -167,7 +167,8 @@ def _log_softmax(g):
 
 
 def lw_loss_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
-    """Leveraged weighted loss of each row; arrays are (n, K). Returns (n,)."""
+    """Leveraged weighted loss of each row; arrays are (n, K). Returns (n,),
+    or one scalar for a length-K instance."""
     g, m, w, squeeze = _as_batch(scores, candidates, weights)
     if isinstance(cfg.psi, CrossEntropyMode):
         log_p = _log_softmax(g)
@@ -182,16 +183,9 @@ def lw_loss_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def lw_loss(scores, candidates, weights, cfg: LWConfig) -> float:
-    """Leveraged weighted loss of one instance.
-
-    scores, weights: length-K vectors; candidates: length-K boolean mask.
-    """
-    return float(lw_loss_batch(scores, candidates, weights, cfg))
-
-
 def lw_loss_gradient_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
-    """d loss / d scores for each row; arrays are (n, K). Returns (n, K)."""
+    """d loss / d scores for each row; arrays are (n, K). Returns (n, K),
+    or one length-K vector for a length-K instance."""
     g, m, w, squeeze = _as_batch(scores, candidates, weights)
     if isinstance(cfg.psi, CrossEntropyMode):
         p = np.exp(_log_softmax(g))
@@ -208,11 +202,6 @@ def lw_loss_gradient_batch(scores, candidates, weights, cfg: LWConfig) -> np.nda
             -cfg.beta * w * cfg.psi.derivative(-g),
         )
     return grad[0] if squeeze else grad
-
-
-def lw_loss_gradient(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
-    """Gradient of `lw_loss` in the scores; length-K vector."""
-    return lw_loss_gradient_batch(scores, candidates, weights, cfg)
 
 
 MIN_OVER_CANDIDATES = "min_over_candidates"
@@ -258,7 +247,7 @@ def derived_supervised_loss(
 ) -> float | np.ndarray:
     """Supervised loss whose risk the candidate-set loss matches.
 
-    This is the conditional expectation of `lw_loss` over candidate sets
+    This is the conditional expectation of `lw_loss_batch` over candidate sets
     drawn for true label y, where wrong class z joins the set independently
     with probability q_z (and q[y] = 1, q[z] < 1 otherwise). Each z != y
     lands on the candidate side with probability q_z and on the complement

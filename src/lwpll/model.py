@@ -6,8 +6,9 @@ each batch once and back-propagates through the activations of that pass.
 Training minimizes the empirical leveraged weighted risk with SGD plus
 heavy-ball momentum, halves the learning rate on a fixed epoch period, and
 refreshes the per-instance class weights once per epoch after the parameter
-steps (or per batch behind a flag). All randomness (init, validation split,
-shuffling) derives from the trainer seed, so runs replay bit for bit.
+steps (or after every batch, as `TrainerConfig` chooses). All randomness
+(init, validation split, shuffling) derives from the trainer seed, so runs
+replay bit for bit.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ class NetworkParams:
     @property
     def widths(self) -> list[int]:
         return [self.layers[0].W.shape[1]] + [l.W.shape[0] for l in self.layers]
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [Layer(l.W.copy(), l.b.copy(), l.activation) for l in self.layers]
-        )
 
 
 def init_network(widths: list[int], rng: np.random.Generator) -> NetworkParams:
@@ -187,10 +183,13 @@ def accuracy(params: NetworkParams, dataset: Dataset) -> float:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Optimizer and schedule settings.
+    """Optimizer, schedule, validation and weight-refresh settings.
 
     The learning rate at epoch t (1-based) is
-    learning_rate * 0.5 ** ((t - 1) // lr_halving_period).
+    learning_rate * 0.5 ** ((t - 1) // lr_halving_period). The last
+    `val_fraction` of a seed-shuffled copy of the data is held out for the
+    validation accuracy; `per_batch_weight_update` refreshes the weights
+    after every batch instead of once per epoch.
     """
 
     learning_rate: float
@@ -200,6 +199,8 @@ class TrainerConfig:
     weight_decay: float = 0.0
     lr_halving_period: int = 50
     seed: int = 0
+    val_fraction: float = 0.1
+    per_batch_weight_update: bool = False
 
     def __post_init__(self):
         if not self.learning_rate > 0.0:
@@ -208,6 +209,8 @@ class TrainerConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if not self.weight_decay >= 0.0:
             raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if self.batch_size < 1 or self.epochs < 0 or self.lr_halving_period < 1:
             raise ValueError("batch_size, epochs, lr_halving_period out of range")
 
@@ -242,37 +245,33 @@ def train(
     dataset: Dataset,
     lw: LWConfig,
     tcfg: TrainerConfig,
-    params: NetworkParams | None = None,
     *,
     arch: str = "linear",
     hidden: int = 64,
-    val_fraction: float = 0.1,
-    per_batch_weight_update: bool = False,
     epoch_callback=None,
 ) -> TrainResult:
     """Minimize the empirical leveraged weighted risk over the dataset.
 
-    The last `val_fraction` of a seed-shuffled copy is held out for the
-    validation accuracy column and never trained on. Per epoch: shuffled
-    mini-batches, a heavy-ball SGD step per batch (weight decay on weight
-    matrices only, never biases), then one weight refresh from the updated
-    scores; `per_batch_weight_update` moves that refresh inside the batch
-    loop, touching only the visited rows. Accuracy columns are NaN when true
-    labels are absent (or, for validation, when the split is empty).
+    The network ('linear' or 'mlp' of width `hidden`) starts from the
+    seed's init. The last `tcfg.val_fraction` of a seed-shuffled copy is
+    held out for the validation accuracy column and never trained on. Per
+    epoch: shuffled mini-batches, a heavy-ball SGD step per batch (weight
+    decay on weight matrices only, never biases), then one weight refresh
+    from the updated scores; `tcfg.per_batch_weight_update` moves that
+    refresh inside the batch loop, touching only the visited rows. Accuracy
+    columns are NaN when true labels are absent (or, for validation, when
+    the split is empty).
 
     Raises TrainingDiverged the moment a batch loss or any scores are
     non-finite, including the scores a weight refresh reads after the last
-    step of an epoch; a `val_fraction` outside [0, 1) raises ValueError.
+    step of an epoch.
     """
     if dataset.partial_masks is None:
         raise ValueError("training needs candidate masks")
-    if params is None:
-        widths = network_widths(arch, dataset.num_features, dataset.num_classes, hidden)
-        params = init_network(widths, make_rng(tcfg.seed, _STREAM_INIT))
-    else:
-        params = params.copy()
-
-    train_idx, val_idx = split_indices(len(dataset), val_fraction, tcfg.seed, _STREAM_SPLIT)
+    widths = network_widths(arch, dataset.num_features, dataset.num_classes, hidden)
+    params = init_network(widths, make_rng(tcfg.seed, _STREAM_INIT))
+    train_idx, val_idx = split_indices(len(dataset), tcfg.val_fraction, tcfg.seed,
+                                       _STREAM_SPLIT)
     train_ds, val_ds = take(dataset, train_idx), take(dataset, val_idx)
     n_train = len(train_ds)
     if n_train == 0:
@@ -312,13 +311,13 @@ def train(
                     vb += gb
                     layer.W -= lr * vw
                     layer.b -= lr * vb
-                if per_batch_weight_update:
+                if tcfg.per_batch_weight_update:
                     sub = WeightState(w=state.w[rows], masks=masks)
                     refreshed = _finite(forward(params, x), epoch, batch_no, lr)
                     state.w[rows] = update_weights(sub, refreshed).w
 
             train_scores = _finite(forward(params, features), epoch, batch_no, lr)
-            if not per_batch_weight_update:
+            if not tcfg.per_batch_weight_update:
                 state = update_weights(state, train_scores)
             train_acc = float("nan")
             if train_ds.true_labels is not None:

@@ -29,8 +29,8 @@ from lwpll import (
     init_network,
     init_weights,
     load_idx,
-    lw_loss,
-    lw_loss_gradient,
+    lw_loss_batch,
+    lw_loss_gradient_batch,
     make_gaussian_task,
     make_rng,
     make_uniform,
@@ -161,7 +161,7 @@ def test_criterion_04_end_to_end_gradient_check():
         if not mask.any():
             mask[int(rng.integers(3))] = True
         w = rng.random(3)
-        up = lw_loss_gradient(scores, mask, w, cfg)
+        up = lw_loss_gradient_batch(scores, mask, w, cfg)
         grads = backward(params, x, up[None, :])
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         fd = np.empty_like(analytic)
@@ -172,9 +172,9 @@ def test_criterion_04_end_to_end_gradient_check():
                 for j in range(flat.size):
                     keep = flat[j]
                     flat[j] = keep + step
-                    hi = lw_loss(forward(params, x[0]), mask, w, cfg)
+                    hi = lw_loss_batch(forward(params, x[0]), mask, w, cfg)
                     flat[j] = keep - step
-                    lo = lw_loss(forward(params, x[0]), mask, w, cfg)
+                    lo = lw_loss_batch(forward(params, x[0]), mask, w, cfg)
                     flat[j] = keep
                     fd[pos] = (hi - lo) / (2 * step)
                     pos += 1

@@ -203,6 +203,47 @@ def test_sweep_pairs_seeds_across_variants(tmp_path):
             assert other == index_lists[0]
 
 
+RUN_RECORD_KEYS = {"seed", "alpha", "beta", "test_accuracy", "final_risk",
+                   "first_batch_indices", "wall_clock_seconds", "metrics", "checkpoint"}
+
+
+def test_train_and_sweep_runs_have_the_same_manifest_fields(tmp_path):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    records = {}
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        out = tmp_path / command[0]
+        assert main(command + ["--config", cfg_path, "--quiet", "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        runs = manifest.get("runs") or [r for v in manifest["variants"] for r in v["runs"]]
+        records[command[0]] = runs
+        for run in runs:
+            assert set(run) == RUN_RECORD_KEYS
+            for key in ("metrics", "checkpoint"):
+                path = (run_dir / run[key]).resolve()
+                assert path.is_file() and path.is_relative_to(run_dir.resolve())
+    assert [(r["alpha"], r["beta"], r["seed"]) for r in records["train"]] == [
+        (1.0, 1.0, 0), (1.0, 1.0, 1)]
+    assert [(r["beta"], r["seed"]) for r in records["sweep"]] == [
+        (0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
+    assert records["sweep"][2]["checkpoint"] == os.path.join("beta1", "checkpoint_seed0.bin")
+
+
+def test_dataset_limit_applies_to_gaussian_source(tmp_path):
+    text = BASE_CONFIG.replace("seeds = 0,1", "seeds = 0") + "dataset.limit = 20\n"
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    (run_dir,) = (tmp_path / "out").iterdir()
+    (run,) = json.loads((run_dir / "manifest.json").read_text())["runs"]
+    # 20 rows, 2 held out for validation; the batch of 256 holds the rest.
+    assert len(run["first_batch_indices"]) == 18
+    assert max(run["first_batch_indices"]) < 20
+    assert main(["generate", "--config", cfg_path, "--quiet"]) == 0
+    (gen_dir,) = [d for d in (tmp_path / "out").iterdir() if d != run_dir]
+    assert len(load_partial_csv(str(gen_dir / "corpus.csv"))) == 20
+    assert len(load_partial_csv(str(gen_dir / "test.csv"))) == 80
+
+
 def test_sweep_ablation_variants(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -9,11 +9,13 @@ LW_THREADS=2 the accepted runs, diverging ones included, cross the process
 pool.
 """
 
+import dataclasses
 import os
 import re
 
 import pytest
 
+from lwpll import TrainerConfig
 from lwpll.cli import _SCHEMA, ConfigError, ExperimentConfig, main
 
 BASE = {"gaussian.n": "60", "gaussian.test_n": "20", "trainer.epochs": "1", "seeds": "0,1"}
@@ -99,3 +101,10 @@ def test_override_runs_the_check_pass():
     with pytest.raises(ConfigError, match="^unknown config keys: trainer.warmup$"):
         cfg.override(**{"trainer.warmup": 5})
     assert cfg.values == ExperimentConfig({}).values
+
+
+def test_trainer_keys_are_the_trainer_config_fields():
+    # The CLI passes every trainer.* key to TrainerConfig by name.
+    keys = {key.removeprefix("trainer.") for key in _SCHEMA if key.startswith("trainer.")}
+    fields = {field.name for field in dataclasses.fields(TrainerConfig)}
+    assert keys == fields - {"seed"}

@@ -20,7 +20,6 @@ from lwpll import (
     certify_uniform_recovery,
     derived_supervised_loss,
     lemma1_check,
-    lw_loss,
     lw_loss_batch,
     make_rng,
     make_uniform,
@@ -77,7 +76,7 @@ def test_partial_risk_uniform_half_is_plain_average():
     cfg = LWConfig(beta=1.0, psi=SIGMOID)
     risk = partial_risk_bruteforce(g, [1.0, 0.0, 0.0], model, w, cfg)
     sets = enumerate_subsets(3, containing=0)
-    expected = sum(lw_loss(g, s, w, cfg) for s in sets) / 4.0
+    expected = sum(lw_loss_batch(g, s, w, cfg) for s in sets) / 4.0
     assert abs(risk - expected) < 1e-15
 
 

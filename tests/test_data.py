@@ -21,13 +21,12 @@ from lwpll import (
     make_rng,
     make_uniform,
     save_partial_csv,
-    split,
     standardize,
     take,
     with_candidates,
 )
 from lwpll import data
-from lwpll.data import MAX_BLOCK_VALUES, _format_fields, simplex_vertices
+from lwpll.data import MAX_BLOCK_VALUES, _format_fields, simplex_vertices, split_indices
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2):
@@ -539,30 +538,25 @@ def test_gaussian_task_rejects_small_dim():
 
 
 def test_split_sizes_and_partition():
-    rng = make_rng(313)
-    ds = random_dataset(rng, n=100)
-    tr, val = split(ds, 0.1, seed=5)
-    assert tr.features.shape[0] == 90
-    assert val.features.shape[0] == 10
-    joined = np.vstack([tr.features, val.features])
-    assert np.array_equal(np.sort(joined, axis=0), np.sort(ds.features, axis=0))
+    tr, val = split_indices(100, 0.1, seed=5, stream=2)
+    assert len(tr) == 90
+    assert len(val) == 10
+    assert np.array_equal(np.sort(np.concatenate([tr, val])), np.arange(100))
 
 
 def test_split_zero_fraction():
-    rng = make_rng(317)
-    ds = random_dataset(rng, n=30)
-    tr, val = split(ds, 0.0, seed=1)
-    assert val.features.shape[0] == 0
-    assert tr.features.shape[0] == 30
+    tr, val = split_indices(30, 0.0, seed=1, stream=2)
+    assert len(val) == 0
+    assert np.array_equal(np.sort(tr), np.arange(30))
 
 
 def test_split_deterministic():
-    rng = make_rng(331)
-    ds = random_dataset(rng, n=60)
-    a_tr, a_val = split(ds, 0.25, seed=9)
-    b_tr, b_val = split(ds, 0.25, seed=9)
-    assert np.array_equal(a_tr.features, b_tr.features)
-    assert np.array_equal(a_val.features, b_val.features)
+    a_tr, a_val = split_indices(60, 0.25, seed=9, stream=2)
+    b_tr, b_val = split_indices(60, 0.25, seed=9, stream=2)
+    assert np.array_equal(a_tr, b_tr)
+    assert np.array_equal(a_val, b_val)
+    c_tr, _ = split_indices(60, 0.25, seed=9, stream=3)
+    assert not np.array_equal(a_tr, c_tr)
 
 
 def test_standardize_moments():

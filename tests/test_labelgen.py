@@ -87,23 +87,23 @@ def test_case3_requires_decreasing_rates():
 # probabilities
 
 
-def test_set_probability_direct_product():
+def test_subset_probabilities_direct_product():
     m = GenerationModel([[1.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert m.set_probability(0, [True, False, False]) == 0.25
+    assert m.subset_probabilities(0, [[True, False, False]]).tolist() == [0.25]
 
 
-def test_set_probability_uniform_half():
+def test_subset_probabilities_uniform_half():
     for k in (2, 4, 6):
         m = make_uniform(k, 0.5)
         rng = make_rng(k)
         mask = rng.random(k) < 0.5
         mask[1] = True
-        assert m.set_probability(1, mask) == 0.5 ** (k - 1)
+        assert m.subset_probabilities(1, mask[None, :]).tolist() == [0.5 ** (k - 1)]
 
 
-def test_set_probability_zero_without_label():
+def test_subset_probabilities_zero_without_label():
     m = make_uniform(3, 0.4)
-    assert m.set_probability(2, [True, True, False]) == 0.0
+    assert m.subset_probabilities(2, [[True, True, False]]).tolist() == [0.0]
 
 
 def test_probabilities_sum_to_one():
@@ -121,7 +121,7 @@ def test_probabilities_sum_to_one():
 def test_reject_full_renormalizes():
     m = make_uniform(3, 0.5, reject_full=True)
     full = np.ones(3, dtype=bool)
-    assert m.set_probability(0, full) == 0.0
+    assert m.subset_probabilities(0, full[None, :]).tolist() == [0.0]
     subsets = enumerate_subsets(3, containing=0)
     p = m.subset_probabilities(0, subsets)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -139,7 +139,7 @@ def test_subset_probabilities_matches_scalar():
         subsets = enumerate_subsets(5)
         p = m.subset_probabilities(2, subsets)
         for row, expected in zip(subsets, p):
-            assert m.set_probability(2, row) == expected
+            assert m.subset_probabilities(2, row[None, :])[0] == expected
 
 
 def test_diagonal_must_be_exactly_one():
@@ -180,8 +180,8 @@ def test_sample_zero_contamination_gives_singletons():
     m = make_uniform(3, 0.0)
     rng = make_rng(7)
     for _ in range(100):
-        mask = m.sample_set(1, rng)
-        assert np.array_equal(mask, [False, True, False])
+        mask = m.sample_sets(np.array([1]), rng)
+        assert np.array_equal(mask, [[False, True, False]])
 
 
 def test_sample_always_contains_label():
@@ -192,22 +192,11 @@ def test_sample_always_contains_label():
     assert masks[np.arange(500), labels].all()
 
 
-def test_sample_set_is_the_one_label_case_of_sample_sets():
-    models = (make_uniform(4, 0.6), make_case(8, 3), make_uniform(3, 0.8, reject_full=True))
-    for seed in range(20):
-        for m in models:
-            y = seed % m.num_classes
-            a, b = make_rng(seed), make_rng(seed)
-            for _ in range(5):
-                assert m.sample_set(y, a).tolist() == m.sample_sets(np.array([y]), b)[0].tolist()
-            assert a.random(3).tolist() == b.random(3).tolist()
-
-
 def test_sample_rejects_bad_label():
     m = make_uniform(3, 0.2)
     rng = make_rng(1)
     with pytest.raises(ValueError):
-        m.sample_set(3, rng)
+        m.sample_sets(np.array([3]), rng)
     with pytest.raises(ValueError):
         m.sample_sets(np.array([0, 5]), rng)
 
@@ -281,7 +270,7 @@ def test_retry_cap_surfaces_degenerate_models(monkeypatch):
     m = make_uniform(3, 0.9, reject_full=True)
     monkeypatch.setattr(labelgen, "RETRY_CAP", 0)
     with pytest.raises(RuntimeError):
-        m.sample_set(0, make_rng(1))
+        m.sample_sets(np.array([0]), make_rng(1))
     with pytest.raises(RuntimeError):
         m.sample_sets(np.zeros(200, dtype=int), make_rng(1))
 
@@ -333,11 +322,9 @@ def test_stacked_model_cannot_sample():
     stack = GenerationModel(np.stack([make_uniform(3, 0.2).q] * 2))
     rng = make_rng(0)
     with pytest.raises(ValueError, match="stack"):
-        stack.sample_set(0, rng)
+        stack.sample_sets(np.array([0]), rng)
     with pytest.raises(ValueError, match="stack"):
         stack.sample_sets(np.array([0, 1]), rng)
-    with pytest.raises(ValueError, match="stack"):
-        stack.set_probability(0, [True, False, False])
 
 
 # the column-at-a-time product against the literal factor reduction

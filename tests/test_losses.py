@@ -11,9 +11,7 @@ from lwpll import (
     LWConfig,
     UnsupportedLossError,
     derived_supervised_loss,
-    lw_loss,
     lw_loss_batch,
-    lw_loss_gradient,
     lw_loss_gradient_batch,
     make_rng,
     special_case_loss,
@@ -101,7 +99,7 @@ def test_lw_loss_at_zero_scores():
     mask = np.array([True, True, False])
     w = np.array([0.5, 0.5, 1.0])
     cfg = LWConfig(beta=2.0, alpha=1.0, psi=SIGMOID)
-    assert lw_loss(g, mask, w, cfg) == 1.5
+    assert lw_loss_batch(g, mask, w, cfg) == 1.5
 
 
 def test_lw_loss_full_set_drops_beta_term():
@@ -109,9 +107,9 @@ def test_lw_loss_full_set_drops_beta_term():
     g = rng.normal(size=3)
     mask = np.ones(3, dtype=bool)
     w = rng.random(3)
-    base = lw_loss(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
+    base = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
     for beta in (1.0, 7.3, 100.0):
-        assert lw_loss(g, mask, w, LWConfig(beta=beta, psi=SIGMOID)) == base
+        assert lw_loss_batch(g, mask, w, LWConfig(beta=beta, psi=SIGMOID)) == base
     assert base == np.sum(w * SIGMOID.value(g))
 
 
@@ -119,7 +117,7 @@ def test_lw_loss_hand_oracle():
     g = np.array([1.0, -0.5, 0.25, 2.0])
     mask = np.array([False, True, False, True])
     w = np.array([0.3, 0.7, 1.0, 0.4])
-    v = lw_loss(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
+    v = lw_loss_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
     assert abs(v - 1.2648967751249448) < 1e-15
 
 
@@ -134,7 +132,7 @@ def test_lw_loss_frozen_oracles():
         (CROSS_ENTROPY, 2.095961691649745),
     ]
     for psi, expected in cases:
-        v = lw_loss(g, mask, w, LWConfig(beta=1.3, alpha=0.7, psi=psi))
+        v = lw_loss_batch(g, mask, w, LWConfig(beta=1.3, alpha=0.7, psi=psi))
         assert abs(v - expected) < 1e-14
 
 
@@ -147,7 +145,7 @@ def test_lw_loss_batch_matches_scalar():
     w = np.array([r[2] for r in rows])
     batch = lw_loss_batch(g, masks, w, cfg)
     for i in range(64):
-        assert batch[i] == lw_loss(g[i], masks[i], w[i], cfg)
+        assert batch[i] == lw_loss_batch(g[i], masks[i], w[i], cfg)
 
 
 def test_lw_loss_input_validation():
@@ -156,13 +154,13 @@ def test_lw_loss_input_validation():
     good_m = np.array([True, False, False])
     good_w = np.ones(3)
     with pytest.raises(ValueError):
-        lw_loss(np.array([0.0, np.inf, 0.0]), good_m, good_w, cfg)
+        lw_loss_batch(np.array([0.0, np.inf, 0.0]), good_m, good_w, cfg)
     with pytest.raises(ValueError):
-        lw_loss(good_g, np.zeros(3, dtype=bool), good_w, cfg)
+        lw_loss_batch(good_g, np.zeros(3, dtype=bool), good_w, cfg)
     with pytest.raises(ValueError):
-        lw_loss(good_g, good_m, -good_w, cfg)
+        lw_loss_batch(good_g, good_m, -good_w, cfg)
     with pytest.raises(ValueError):
-        lw_loss(np.zeros(4), good_m, good_w, cfg)
+        lw_loss_batch(np.zeros(4), good_m, good_w, cfg)
 
 
 def test_lwconfig_validation():
@@ -179,7 +177,7 @@ def test_gradient_at_zero():
     g = np.zeros(2)
     mask = np.array([True, False])
     w = np.ones(2)
-    grad = lw_loss_gradient(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
+    grad = lw_loss_gradient_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
     assert np.allclose(grad, [-0.25, 0.25], rtol=0.0, atol=1e-16)
 
 
@@ -188,7 +186,7 @@ def test_gradient_rejects_step_loss():
     mask = np.array([True, False])
     w = np.ones(2)
     with pytest.raises(UnsupportedLossError):
-        lw_loss_gradient(g, mask, w, LWConfig(beta=1.0, psi=ZERO_ONE_STEP))
+        lw_loss_gradient_batch(g, mask, w, LWConfig(beta=1.0, psi=ZERO_ONE_STEP))
 
 
 def test_gradient_matches_finite_differences():
@@ -204,13 +202,13 @@ def test_gradient_matches_finite_differences():
             alpha=float(rng.random() * 2.0),
             psi=psi,
         )
-        grad = lw_loss_gradient(g, mask, w, cfg)
+        grad = lw_loss_gradient_batch(g, mask, w, cfg)
         fd = np.empty(k)
         for z in range(k):
             hi, lo = g.copy(), g.copy()
             hi[z] += step
             lo[z] -= step
-            fd[z] = (lw_loss(hi, mask, w, cfg) - lw_loss(lo, mask, w, cfg)) / (2 * step)
+            fd[z] = (lw_loss_batch(hi, mask, w, cfg) - lw_loss_batch(lo, mask, w, cfg)) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0)
         worst = max(worst, rel)
     assert worst < 1e-6
@@ -225,7 +223,7 @@ def test_gradient_batch_matches_scalar():
     w = np.array([r[2] for r in rows])
     batch = lw_loss_gradient_batch(g, masks, w, cfg)
     for i in range(32):
-        assert np.array_equal(batch[i], lw_loss_gradient(g[i], masks[i], w[i], cfg))
+        assert np.array_equal(batch[i], lw_loss_gradient_batch(g[i], masks[i], w[i], cfg))
 
 
 # special-case reductions
@@ -256,7 +254,7 @@ def test_reduction_to_average():
     for _ in range(100):
         g, mask, _ = random_instance(rng, 6)
         w = np.where(mask, 1.0 / mask.sum(), 0.0)
-        lw = lw_loss(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
+        lw = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
         avg = special_case_loss(AVERAGE_OVER_CANDIDATES, g, mask, SIGMOID)
         assert abs(lw - avg) <= 5e-15 * (1.0 + abs(avg))
 
@@ -269,7 +267,7 @@ def test_reduction_to_min():
         best = cand[np.argmax(g[cand])]
         w = np.zeros(6)
         w[best] = 1.0
-        lw = lw_loss(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
+        lw = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
         assert lw == special_case_loss(MIN_OVER_CANDIDATES, g, mask, SIGMOID)
 
 
@@ -281,7 +279,7 @@ def test_reduction_to_max_candidate_plus_negatives():
         best = cand[np.argmax(g[cand])]
         w = np.where(mask, 0.0, 1.0)
         w[best] = 1.0
-        lw = lw_loss(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
+        lw = lw_loss_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
         special = special_case_loss(MAX_CANDIDATE_PLUS_NEGATIVES, g, mask, SIGMOID)
         assert abs(lw - special) <= 5e-15 * (1.0 + abs(special))
 
@@ -305,8 +303,8 @@ def test_derived_loss_matches_two_class_enumeration():
         w = rng.random(2)
         q01 = float(rng.random() * 0.98)
         cfg = LWConfig(beta=float(rng.random() * 3.0), alpha=float(rng.random() * 2.0), psi=SIGMOID)
-        only = lw_loss(g, np.array([True, False]), w, cfg)
-        both = lw_loss(g, np.array([True, True]), w, cfg)
+        only = lw_loss_batch(g, np.array([True, False]), w, cfg)
+        both = lw_loss_batch(g, np.array([True, True]), w, cfg)
         expected = (1.0 - q01) * only + q01 * both
         got = derived_supervised_loss(0, g, w, np.array([1.0, q01]), cfg)
         assert abs(got - expected) < 1e-12

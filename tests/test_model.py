@@ -1,5 +1,6 @@
 """Score networks, the trainer, and checkpoint serialization."""
 
+import dataclasses
 import pickle
 import tempfile
 
@@ -25,8 +26,8 @@ from lwpll import (
     init_network,
     learning_rate_at,
     load_checkpoint,
-    lw_loss,
-    lw_loss_gradient,
+    lw_loss_batch,
+    lw_loss_gradient_batch,
     make_gaussian_task,
     make_rng,
     make_uniform,
@@ -112,9 +113,9 @@ def test_backward_matches_finite_differences():
         w = rng.random((1, 3))
 
         def loss_at(p):
-            return lw_loss(forward(p, x[0]), mask[0], w[0], cfg)
+            return lw_loss_batch(forward(p, x[0]), mask[0], w[0], cfg)
 
-        up = lw_loss_gradient(forward(params, x[0]), mask[0], w[0], cfg)
+        up = lw_loss_gradient_batch(forward(params, x[0]), mask[0], w[0], cfg)
         grads = backward(params, x, up[None, :])
         worst = 0.0
         for li, (gw, gb) in enumerate(grads):
@@ -236,8 +237,9 @@ def test_train_small_lr_moves_params_proportionally():
     ds = toy_dataset(n=64, seed=3)
     lw = LWConfig(beta=1.0, psi=SIGMOID)
     lr = 1e-6
-    tcfg = TrainerConfig(learning_rate=lr, epochs=1, batch_size=64, momentum=0.0, seed=1)
-    result = train(ds, lw, tcfg, val_fraction=0.0)
+    tcfg = TrainerConfig(learning_rate=lr, epochs=1, batch_size=64, momentum=0.0, seed=1,
+                         val_fraction=0.0)
+    result = train(ds, lw, tcfg)
     fresh = init_network(network_widths("linear", 2, 3), make_rng(1, stream=1))
     deltas = [
         np.abs(got.W - exp.W).max()
@@ -302,8 +304,9 @@ def test_train_per_batch_weight_update_runs():
     ds = toy_dataset(n=100, seed=9)
     lw = LWConfig(beta=1.0, psi=SIGMOID)
     tcfg = TrainerConfig(learning_rate=0.05, epochs=2, batch_size=32, seed=3)
-    a = train(ds, lw, tcfg, per_batch_weight_update=True)
-    b = train(ds, lw, tcfg, per_batch_weight_update=False)
+    per_batch = dataclasses.replace(tcfg, per_batch_weight_update=True)
+    a = train(ds, lw, per_batch)
+    b = train(ds, lw, tcfg)
     assert np.isfinite(a.weight_state.w).all()
     # the cadence genuinely changes the trajectory
     assert any(
@@ -317,8 +320,7 @@ def test_train_validation_split_sizes():
     result = train(
         ds,
         LWConfig(beta=1.0, psi=SIGMOID),
-        TrainerConfig(learning_rate=0.05, epochs=1, seed=0),
-        val_fraction=0.1,
+        TrainerConfig(learning_rate=0.05, epochs=1, seed=0, val_fraction=0.1),
     )
     assert len(result.val_indices) == 10
     assert len(result.train_indices) == 90
@@ -327,8 +329,7 @@ def test_train_validation_split_sizes():
     none = train(
         ds,
         LWConfig(beta=1.0, psi=SIGMOID),
-        TrainerConfig(learning_rate=0.05, epochs=1, seed=0),
-        val_fraction=0.0,
+        TrainerConfig(learning_rate=0.05, epochs=1, seed=0, val_fraction=0.0),
     )
     assert len(none.val_indices) == 0
     assert np.isnan(none.metrics[0].val_accuracy)
@@ -522,8 +523,8 @@ def test_train_divergence_after_the_last_step_raises_with_location(per_batch):
             train(
                 ds,
                 LWConfig(beta=1.0, psi=CROSS_ENTROPY),
-                TrainerConfig(learning_rate=0.5, epochs=1, batch_size=16, seed=0),
-                per_batch_weight_update=per_batch,
+                TrainerConfig(learning_rate=0.5, epochs=1, batch_size=16, seed=0,
+                              per_batch_weight_update=per_batch),
             )
     err = info.value
     assert (err.epoch, err.batch, err.lr) == (1, 1, 0.5)
@@ -535,12 +536,7 @@ def test_train_divergence_after_the_last_step_raises_with_location(per_batch):
 @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
 def test_train_rejects_val_fraction_outside_unit_interval(fraction):
     with pytest.raises(ValueError, match="val_fraction"):
-        train(
-            toy_dataset(n=40),
-            LWConfig(beta=1.0, psi=SIGMOID),
-            TrainerConfig(learning_rate=0.05, epochs=1, seed=0),
-            val_fraction=fraction,
-        )
+        TrainerConfig(learning_rate=0.05, epochs=1, seed=0, val_fraction=fraction)
 
 
 # one forward pass per training batch
