@@ -17,8 +17,9 @@ the previous directory. Bad input exits 2; a diverged run exits 1.
 Sweeps pair runs across loss settings: for a given seed the corpus, the
 candidate sets, the parameter init, and the shuffle order are identical for
 every (alpha, beta) variant; the logged first-batch indices prove it.
-``train`` is a one-variant sweep. ``LW_THREADS`` (default 1) caps worker
-processes for the runs.
+``train`` is a one-variant sweep. A seed's data is prepared once and shared
+by the variants that one task runs; ``LW_THREADS`` (default 1) caps the
+tasks per seed and the worker processes that run them.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ _SCHEMA = {
 
 
 def _checked(values: dict) -> dict:
-    """`values` if it holds only schema keys, each passing its check."""
+    """`values` if it holds only schema keys, each passing its check, and
+    sets dataset.num_classes only for a CSV source."""
     unknown = sorted(set(values) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -176,6 +178,9 @@ def _checked(values: dict) -> dict:
         problem = check(values[key])
         if problem is not None:
             raise ConfigError(f"{key}: {problem}")
+    if values["dataset.num_classes"] and values["dataset.kind"] != "csv":
+        raise ConfigError(f"dataset.num_classes: applies to dataset.kind=csv only, "
+                          f"got dataset.kind={values['dataset.kind']}")
     return values
 
 
@@ -272,8 +277,9 @@ def _generation_model(cfg: ExperimentConfig, num_classes: int):
     )
 
 
-def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Dataset | None]:
-    """Supervised (or already-partial) train and optional test datasets."""
+def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | None]:
+    """Supervised (or already-partial) train and optional test datasets. A
+    Gaussian source is drawn for `seed`; a file source does not depend on it."""
     kind = cfg["dataset.kind"]
     if kind == "gaussian":
         n, test_n = cfg["gaussian.n"], cfg["gaussian.test_n"]
@@ -283,7 +289,7 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
             # An overflowing draw fails the features' finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
                 full = make_gaussian_task(classes, dim, n + test_n, separation, sigma,
-                                          cfg["gaussian.seed"] + seed_shift)
+                                          cfg["gaussian.seed"] + seed)
         except ValueError as exc:
             named = ", ".join(f"{key}={cfg[key]!r}" for key in task)
             raise ConfigError(f"{named}: {exc}") from None
@@ -319,31 +325,17 @@ def _load_source(cfg: ExperimentConfig, seed_shift: int) -> tuple[Dataset, Datas
     return train_ds, test_ds
 
 
-def _prepare_run(
-    cfg: ExperimentConfig, seed: int, source: tuple[Dataset, Dataset | None] | None
-) -> tuple[Dataset, Dataset | None]:
-    """Partially labeled train set plus optional labeled test set for one seed."""
-    if source is None:
-        source = _load_source(cfg, seed_shift=seed)
-    train_ds, test_ds = source
-    if train_ds.partial_masks is None:
-        model = _generation_model(cfg, train_ds.num_classes)
-        if model is None:
-            raise ConfigError(
-                "the training source has no candidate sets and generation.kind=none"
-            )
-        if train_ds.true_labels is None:
-            raise ConfigError("candidate-set generation needs true labels")
-        masks = model.sample_sets(
-            train_ds.true_labels, make_rng(cfg["generation.seed"], stream=seed)
-        )
-        train_ds = with_candidates(train_ds, masks)
-    if cfg["dataset.standardize"]:
-        if test_ds is None:
-            (train_ds,) = standardize(train_ds)
-        else:
-            train_ds, test_ds = standardize(train_ds, test_ds)
-    return train_ds, test_ds
+def _partial_train_set(cfg: ExperimentConfig, train_ds: Dataset, seed: int) -> Dataset:
+    """`train_ds` if it carries candidate sets, else `train_ds` with sets
+    drawn from stream `seed` of generation.seed. Sources without candidate
+    sets (Gaussian, IDX) always carry true labels."""
+    if train_ds.partial_masks is not None:
+        return train_ds
+    model = _generation_model(cfg, train_ds.num_classes)
+    if model is None:
+        raise ConfigError("the training source has no candidate sets and generation.kind=none")
+    masks = model.sample_sets(train_ds.true_labels, make_rng(cfg["generation.seed"], stream=seed))
+    return with_candidates(train_ds, masks)
 
 
 def _write_metrics_csv(path: str, fingerprint: str, metrics, test_accuracy) -> None:
@@ -361,25 +353,17 @@ def _write_metrics_csv(path: str, fingerprint: str, metrics, test_accuracy) -> N
 
 def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
                  stage: str, label: str, fingerprint: str,
-                 source: tuple[Dataset, Dataset | None] | None) -> dict:
-    """One deterministic training run into `<stage>/<label>`: writes its
-    metrics CSV and checkpoint and returns its manifest record, file names
-    relative to the stage.
-
-    `source` is the command's shared (train, test) pair, or None to load
-    the source for this seed.
+                 train_ds: Dataset, test_ds: Dataset | None) -> dict:
+    """One deterministic training run on the seed's prepared (train, test)
+    pair into `<stage>/<label>`: writes its metrics CSV and checkpoint and
+    returns its manifest record, file names relative to the stage.
     """
     started = time.perf_counter()
-    train_ds, test_ds = _prepare_run(cfg, seed, source)
     trainer = {key.removeprefix("trainer."): value for key, value in cfg.values.items()
                if key.startswith("trainer.")}
-    result = train(
-        train_ds,
-        LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"])),
-        TrainerConfig(seed=seed, **trainer),
-        arch=cfg["model.arch"],
-        hidden=cfg["model.hidden"],
-    )
+    result = train(train_ds, LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"])),
+                   TrainerConfig(seed=seed, **trainer),
+                   arch=cfg["model.arch"], hidden=cfg["model.hidden"])
     test_acc = accuracy(result.params, test_ds) if test_ds is not None else None
     os.makedirs(os.path.join(stage, label), exist_ok=True)
     metrics = os.path.join(label, f"metrics_seed{seed}.csv")
@@ -397,6 +381,23 @@ def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
         "metrics": metrics,
         "checkpoint": checkpoint,
     }
+
+
+def _run_seed(cfg: ExperimentConfig, seed: int, variants: list, stage: str,
+              fingerprint: str, files: tuple[Dataset, Dataset | None] | None) -> list[dict]:
+    """Prepare seed `seed`'s data once, then run each (label, alpha, beta) of
+    `variants` on it in order; their manifest records.
+
+    `files` is the command's (train, test) pair read from a CSV or IDX
+    source, or None to draw the Gaussian task for this seed.
+    """
+    train_ds, test_ds = _load_source(cfg, seed) if files is None else files
+    train_ds = _partial_train_set(cfg, train_ds, seed)
+    if cfg["dataset.standardize"]:
+        train_ds, test_ds = (standardize(train_ds) + (None,) if test_ds is None
+                             else standardize(train_ds, test_ds))
+    return [_execute_run(cfg, alpha, beta, seed, stage, label, fingerprint, train_ds, test_ds)
+            for label, alpha, beta in variants]
 
 
 def _worker_count() -> int:
@@ -459,31 +460,24 @@ def cmd_generate(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Sample one partial-label corpus and write it with a manifest."""
     if cfg["dataset.kind"] == "csv":
         raise ConfigError("dataset.kind=csv is already a partial corpus")
-    if cfg["generation.kind"] == "none":
-        raise ConfigError("cmd generate needs a generation model")
     fp = cfg.fingerprint(extra={"command": "generate"})
-    train_ds, test_ds = _load_source(cfg, seed_shift=0)
-    model = _generation_model(cfg, train_ds.num_classes)
-    masks = model.sample_sets(
-        train_ds.true_labels, make_rng(cfg["generation.seed"], stream=0)
-    )
-    corpus = with_candidates(train_ds, masks)
+    train_ds, test_ds = _load_source(cfg, 0)
+    corpus = _partial_train_set(cfg, train_ds, 0)
     files = {"corpus": (corpus, "corpus.csv")}
     if test_ds is not None:
         test_masks = np.zeros((len(test_ds), test_ds.num_classes), dtype=bool)
         test_masks[np.arange(len(test_ds)), test_ds.true_labels] = True
         files["test"] = (with_candidates(test_ds, test_masks), "test.csv")
     run_dir = os.path.join(cfg["output.dir"], fp)
-    sizes = masks.sum(axis=1)
+    sizes = corpus.partial_masks.sum(axis=1)
+    q = np.ascontiguousarray(_generation_model(cfg, corpus.num_classes).q, dtype="<f8")
     histogram = {int(s): int(c) for s, c in zip(*np.unique(sizes, return_counts=True))}
     with _run_directory(cfg, fp, "generate") as (stage, publish):
         for dataset, name in files.values():
             save_partial_csv(dataset, os.path.join(stage, name))
         publish({
             "generation_seed": cfg["generation.seed"],
-            "q_matrix_sha256": hashlib.sha256(
-                np.ascontiguousarray(model.q, dtype="<f8").tobytes()
-            ).hexdigest(),
+            "q_matrix_sha256": hashlib.sha256(q.tobytes()).hexdigest(),
             "set_size_histogram": histogram,
             "mean_set_size": float(sizes.mean()),
             "paths": {key: os.path.join(run_dir, name) for key, (_, name) in files.items()},
@@ -496,31 +490,35 @@ def cmd_generate(cfg: ExperimentConfig, quiet: bool = False) -> int:
 def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
                     manifest_body, fp_extra: dict | None = None) -> int:
     """The run loop of `train` and `sweep`: every seed of every (label,
-    alpha, beta) variant trains into subdirectory `label`, in LW_THREADS
-    processes. A seed's first batch must match across variants (the paired
-    design). The manifest body is `manifest_body(stage, fp, runs)`, given
-    each run's record; a diverged run or broken pairing publishes nothing
-    and exits 1.
+    alpha, beta) variant trains into subdirectory `label`. Each seed's
+    variants are dealt round-robin to at most LW_THREADS tasks, which a pool
+    of LW_THREADS processes runs; a task prepares the seed's data once and
+    shares it across its variants. A seed's first batch must match across
+    variants (the paired design). The manifest body is `manifest_body(stage, fp, runs)`,
+    given each run's record; a diverged run or broken pairing publishes
+    nothing and exits 1.
     """
     workers = _worker_count()
     fp = cfg.fingerprint(extra=fp_extra)
     # CSV and IDX sources do not depend on the seed: read them once for all
-    # runs. Gaussian data is drawn per seed inside each run.
-    source = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, seed_shift=0)
+    # tasks. Each task draws a Gaussian source for its own seed.
+    files = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, 0)
+    shares = min(workers, len(variants))
     with _run_directory(cfg, fp, command) as (stage, publish):
-        specs = [(cfg, alpha, beta, seed, stage, label, fp, source)
-                 for label, alpha, beta in variants for seed in cfg["seeds"]]
+        tasks = [(cfg, seed, variants[i::shares], stage, fp, files)
+                 for seed in cfg["seeds"] for i in range(shares)]
         try:
-            if workers > 1 and len(specs) > 1:
+            if workers > 1 and len(tasks) > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    runs = list(pool.map(_execute_run, *zip(*specs)))
+                    records = list(pool.map(_run_seed, *zip(*tasks)))
             else:
-                runs = [_execute_run(*spec) for spec in specs]
+                records = [_run_seed(*task) for task in tasks]
         except TrainingDiverged as exc:
             print(f"error: {command} {fp} diverged: {exc}", file=sys.stderr)
             return 1
+        runs = [run for task_runs in records for run in task_runs]
         reference: dict[int, list[int]] = {}
         for run in runs:
             first = run["first_batch_indices"]

@@ -133,6 +133,16 @@ def test_generate_requires_generative_source(tmp_path):
     assert main(["generate", "--config", cfg_path]) == 2
 
 
+def test_generation_none_without_candidate_sets_names_its_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out",
+                                                      "generation.kind": "none"})
+    for command in ("generate", "train"):
+        assert main([command, "--config", cfg_path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "generation.kind" in captured.err, command
+        assert not (tmp_path / "out").exists()
+
+
 # train
 
 
@@ -288,22 +298,48 @@ def test_sweep_rejects_beta_with_ablation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "serial"})
-    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
-    env_before = os.environ.get("LW_THREADS")
-    os.environ["LW_THREADS"] = "2"
-    try:
-        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1",
-                     "--out", str(tmp_path / "par")]) == 0
-    finally:
-        if env_before is None:
-            del os.environ["LW_THREADS"]
-        else:
-            os.environ["LW_THREADS"] = env_before
-    serial_dir = next((tmp_path / "serial").iterdir())
-    par_dir = next((tmp_path / "par").iterdir())
-    assert (serial_dir / "summary.csv").read_bytes() == (par_dir / "summary.csv").read_bytes()
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # Two workers deal each seed's three betas into tasks of two and one, so
+    # one worker task standardizes its seed's data once for two variants.
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"dataset.standardize": "true"})
+    dirs = {}
+    for threads, name in (("1", "serial"), ("2", "par")):
+        monkeypatch.setenv("LW_THREADS", threads)
+        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1,2",
+                     "--out", str(tmp_path / name)]) == 0
+        (dirs[name],) = (tmp_path / name).iterdir()
+    files = sorted(p.relative_to(dirs["serial"]) for p in dirs["serial"].rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    assert len(files) == 3 * 2 * 2 + 1  # metrics and checkpoint per run, summary
+    assert files == sorted(p.relative_to(dirs["par"]) for p in dirs["par"].rglob("*")
+                           if p.is_file() and p.name != "manifest.json")
+    for rel in files:
+        assert (dirs["serial"] / rel).read_bytes() == (dirs["par"] / rel).read_bytes(), rel
+
+
+def test_serial_sweep_prepares_each_seed_once(tmp_path, monkeypatch):
+    from lwpll.cli import make_gaussian_task
+    from lwpll.labelgen import GenerationModel
+
+    drawn, sampled = [], []
+
+    def draw(*args):
+        drawn.append(args[-1])
+        return make_gaussian_task(*args)
+
+    sample_sets = GenerationModel.sample_sets
+
+    def sample(self, labels, rng):
+        sampled.append(len(labels))
+        return sample_sets(self, labels, rng)
+
+    monkeypatch.setattr("lwpll.cli.make_gaussian_task", draw)
+    monkeypatch.setattr(GenerationModel, "sample_sets", sample)
+    monkeypatch.setenv("LW_THREADS", "1")
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1,2"]) == 0
+    assert drawn == [0, 1]
+    assert sampled == [200, 200]
 
 
 # verify
@@ -588,6 +624,25 @@ def test_idx_test_set_needs_both_files_before_any_run_directory(tmp_path, capsys
         assert (captured.out, captured.err) == (
             "", f"error: dataset.kind=idx requires {missing}\n"
         )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "idx"])
+def test_num_classes_outside_csv_fails_before_any_run_directory(tmp_path, capsys, kind):
+    text = BASE_CONFIG
+    if kind == "idx":
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)))
+        labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+        text = f"dataset.kind = idx\ndataset.images = {images}\ndataset.labels = {labels}\n"
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out",
+                                               "dataset.num_classes": 5})
+    for command in (["generate"], ["train"], ["sweep", "--beta", "0"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dataset.num_classes: applies to dataset.kind=csv "
+                                f"only, got dataset.kind={kind}\n")
     assert not (tmp_path / "out").exists()
 
 
