@@ -6,8 +6,12 @@ unknown keys are hard errors. A run's identity is the fingerprint: the
 SHA-256 of the normalized effective config (defaults filled in, output
 directory excluded, seeds included), truncated to 12 hex digits. All
 artifacts land under ``<output.dir>/<fingerprint>/`` and every metrics file
-carries the fingerprint, so identical fingerprints mean byte-identical
-metrics. Wall-clock timings go to the manifest, never into metrics CSVs.
+carries the fingerprint. The byte contract: the same fingerprint, run with
+the same NumPy/BLAS build and the same BLAS thread count, gives
+byte-identical metrics. The thread count is part of it because BLAS may
+split a long product differently per thread count (with 784 features the
+first layer's scores differ in the last bits between 1 and 2 OpenBLAS
+threads). Wall-clock timings go to the manifest, never into metrics CSVs.
 
 A run directory appears whole or not at all: it is built in a hidden stage
 ``<output.dir>/.<fingerprint>.*``, finished with ``manifest.json`` and then
@@ -19,7 +23,8 @@ candidate sets, the parameter init, and the shuffle order are identical for
 every (alpha, beta) variant; the logged first-batch indices prove it.
 ``train`` is a one-variant sweep. A seed's data is prepared once and shared
 by the variants that one task runs; ``LW_THREADS`` (default 1) caps the
-tasks per seed and the worker processes that run them.
+tasks per seed and the worker processes that run them, and no more workers
+start than there are tasks.
 """
 
 from __future__ import annotations
@@ -492,8 +497,8 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
     """The run loop of `train` and `sweep`: every seed of every (label,
     alpha, beta) variant trains into subdirectory `label`. Each seed's
     variants are dealt round-robin to at most LW_THREADS tasks, which a pool
-    of LW_THREADS processes runs; a task prepares the seed's data once and
-    shares it across its variants. A seed's first batch must match across
+    of min(LW_THREADS, tasks) processes runs; a task prepares the seed's data
+    once and shares it across its variants. A seed's first batch must match across
     variants (the paired design). The manifest body is `manifest_body(stage, fp, runs)`,
     given each run's record; a diverged run or broken pairing publishes
     nothing and exits 1.
@@ -511,7 +516,7 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
             if workers > 1 and len(tasks) > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                     records = list(pool.map(_run_seed, *zip(*tasks)))
             else:
                 records = [_run_seed(*task) for task in tasks]

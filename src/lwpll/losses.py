@@ -36,7 +36,6 @@ class SigmoidLoss:
 
     name = "sigmoid"
     symmetric = True
-    differentiable = True
 
     @staticmethod
     def value(z):
@@ -57,7 +56,6 @@ class RampLoss:
 
     name = "ramp"
     symmetric = True
-    differentiable = True
 
     @staticmethod
     def value(z):
@@ -79,7 +77,6 @@ class ZeroOneStepLoss:
 
     name = "zero_one_step"
     symmetric = True
-    differentiable = False
 
     @staticmethod
     def value(z):
@@ -96,7 +93,6 @@ class CrossEntropyMode:
 
     name = "cross_entropy"
     symmetric = False
-    differentiable = True
 
 
 SIGMOID = SigmoidLoss()
@@ -160,48 +156,46 @@ def _as_batch(scores, candidates, weights):
     return g, m, w, squeeze
 
 
-def _log_softmax(g):
-    from scipy.special import logsumexp
+def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
+    """The one loss kernel: (losses, gradient or None) of one validated batch.
+    A symmetric psi has an even derivative, psi'(-g) = psi'(g) bit for bit
+    (sigmoid's is a commutative product, ramp's reads |g|), so both sides of
+    the gradient share one psi'(g). The step loss fails in `derivative`."""
+    g, m, w, squeeze = _as_batch(scores, candidates, weights)
+    grad = None
+    if isinstance(cfg.psi, CrossEntropyMode):
+        from scipy.special import logsumexp
 
-    return g - logsumexp(g, axis=1, keepdims=True)
+        log_p = g - logsumexp(g, axis=1, keepdims=True)
+        pos = -log_p
+        p = np.exp(log_p)
+        rest = np.maximum(1.0 - p, _LOG_FLOOR)
+        neg = -np.log(rest)
+        if with_gradient:
+            a = np.where(m, cfg.alpha * w, 0.0)
+            b = np.where(m, 0.0, cfg.beta * w * p / rest)
+            grad = -a + b + p * (a - b).sum(axis=1, keepdims=True)
+    else:
+        pos = cfg.psi.value(g)
+        neg = cfg.psi.value(-g)
+        if with_gradient:
+            slope = cfg.psi.derivative(g)
+            grad = np.where(m, cfg.alpha * w * slope, -cfg.beta * w * slope)
+    losses = (np.where(m, cfg.alpha * pos, cfg.beta * neg) * w).sum(axis=1)
+    return (losses[0], grad if grad is None else grad[0]) if squeeze else (losses, grad)
 
 
 def lw_loss_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
     """Leveraged weighted loss of each row; arrays are (n, K). Returns (n,),
     or one scalar for a length-K instance."""
-    g, m, w, squeeze = _as_batch(scores, candidates, weights)
-    if isinstance(cfg.psi, CrossEntropyMode):
-        log_p = _log_softmax(g)
-        pos = -log_p
-        p = np.exp(log_p)
-        neg = -np.log(np.maximum(1.0 - p, _LOG_FLOOR))
-    else:
-        pos = cfg.psi.value(g)
-        neg = cfg.psi.value(-g)
-    per_class = np.where(m, cfg.alpha * pos, cfg.beta * neg) * w
-    out = per_class.sum(axis=1)
-    return out[0] if squeeze else out
+    return _lw_rows(scores, candidates, weights, cfg, with_gradient=False)[0]
 
 
-def lw_loss_gradient_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
-    """d loss / d scores for each row; arrays are (n, K). Returns (n, K),
-    or one length-K vector for a length-K instance."""
-    g, m, w, squeeze = _as_batch(scores, candidates, weights)
-    if isinstance(cfg.psi, CrossEntropyMode):
-        p = np.exp(_log_softmax(g))
-        a = np.where(m, cfg.alpha * w, 0.0)
-        b = np.where(m, 0.0, cfg.beta * w * p / np.maximum(1.0 - p, _LOG_FLOOR))
-        tot = (a - b).sum(axis=1, keepdims=True)
-        grad = -a + b + p * tot
-    else:
-        if not cfg.psi.differentiable:
-            raise UnsupportedLossError(f"{cfg.psi.name} loss cannot be differentiated")
-        grad = np.where(
-            m,
-            cfg.alpha * w * cfg.psi.derivative(g),
-            -cfg.beta * w * cfg.psi.derivative(-g),
-        )
-    return grad[0] if squeeze else grad
+def lw_loss_gradient_batch(scores, candidates, weights, cfg: LWConfig):
+    """(losses, d loss / d scores): (n,) losses equal to `lw_loss_batch`'s bit
+    for bit and the (n, K) gradient, or one scalar and one length-K vector for
+    a length-K instance. The step loss raises `UnsupportedLossError`."""
+    return _lw_rows(scores, candidates, weights, cfg, with_gradient=True)
 
 
 MIN_OVER_CANDIDATES = "min_over_candidates"

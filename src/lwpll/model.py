@@ -2,7 +2,8 @@
 
 Networks are plain affine stacks (linear model, or an MLP with ReLU hidden
 layers) with hand-written forward and backward passes; the trainer scores
-each batch once and back-propagates through the activations of that pass.
+each batch once, takes its losses and gradient from one loss call, and
+back-propagates through the activations of that pass.
 Training minimizes the empirical leveraged weighted risk with SGD plus
 heavy-ball momentum, halves the learning rate on a fixed epoch period, and
 refreshes the per-instance class weights once per epoch after the parameter
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, split_indices, take
-from .losses import LWConfig, lw_loss_batch, lw_loss_gradient_batch
+from .losses import LWConfig, lw_loss_gradient_batch
 from .rng import make_rng
 from .weights import WeightState, init_weights, update_weights
 
@@ -300,10 +301,9 @@ def train(
                 w = state.w[rows]
                 acts = _forward_cached(params, x)
                 scores = _finite(acts[-1], epoch, batch_no, lr)
-                losses = lw_loss_batch(scores, masks, w, lw)
+                losses, grad = lw_loss_gradient_batch(scores, masks, w, lw)
                 loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
-                upstream = lw_loss_gradient_batch(scores, masks, w, lw) / rows.shape[0]
-                grads = _backprop(params, acts, upstream)
+                grads = _backprop(params, acts, grad / rows.shape[0])
                 for layer, (vw, vb), (gw, gb) in zip(params.layers, velocity, grads):
                     vw *= tcfg.momentum
                     vw += gw + tcfg.weight_decay * layer.W
@@ -374,8 +374,9 @@ def load_checkpoint(path: str) -> NetworkParams:
     """Inverse of `save_checkpoint`, validating magic, version, and size.
 
     Also rejects a network that cannot score: no layers, a layer of width 0,
-    a layer whose input width is not the previous layer's output width, or
-    a non-finite weight or bias.
+    a layer whose input width is not the previous layer's output width, a
+    last layer with fewer than 2 outputs (classes), or a non-finite weight
+    or bias.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -405,6 +406,8 @@ def load_checkpoint(path: str) -> NetworkParams:
                 f"gives {shapes[-1][0]}"
             )
         shapes.append((out_w, in_w, _ACTIVATION_NAMES[code]))
+    if shapes[-1][0] == 1:
+        raise ValueError(f"{path}: last layer has 1 output; a classifier needs at least 2")
     layers = []
     for out_w, in_w, act in shapes:
         n_w, n_b = out_w * in_w, out_w

@@ -161,7 +161,7 @@ def test_criterion_04_end_to_end_gradient_check():
         if not mask.any():
             mask[int(rng.integers(3))] = True
         w = rng.random(3)
-        up = lw_loss_gradient_batch(scores, mask, w, cfg)
+        _, up = lw_loss_gradient_batch(scores, mask, w, cfg)
         grads = backward(params, x, up[None, :])
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         fd = np.empty_like(analytic)

@@ -317,6 +317,43 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         assert (dirs["serial"] / rel).read_bytes() == (dirs["par"] / rel).read_bytes(), rel
 
 
+def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # A fork pool starts every worker at the first submit, so a pool wider
+    # than the task list forks idle processes. A serial stand-in records the
+    # width asked for and starts none.
+    import concurrent.futures
+
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    dirs = {}
+    for threads, name in (("1", "serial"), ("8", "pooled")):
+        monkeypatch.setenv("LW_THREADS", threads)
+        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1",
+                     "--out", str(tmp_path / name)]) == 0
+        (dirs[name],) = (tmp_path / name).iterdir()
+    assert widths == [2]  # one seed, two betas: two tasks
+    files = sorted(p.relative_to(dirs["serial"]) for p in dirs["serial"].rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    assert len(files) == 2 * 2 + 1
+    for rel in files:
+        assert (dirs["serial"] / rel).read_bytes() == (dirs["pooled"] / rel).read_bytes(), rel
+
+
 def test_serial_sweep_prepares_each_seed_once(tmp_path, monkeypatch):
     from lwpll.cli import make_gaussian_task
     from lwpll.labelgen import GenerationModel
@@ -490,6 +527,7 @@ def test_eval_rejects_a_checkpoint_that_cannot_score_with_exit_2(tmp_path, capsy
         "zero_layers": [],
         "zero_width": [layer(3, 0)],
         "mismatch": [layer(4, 2), layer(3, 5)],
+        "one_output": [layer(4, 2), layer(1, 4)],
         "all_nan": [layer(4, 2, fill=np.nan), layer(3, 4, fill=np.nan)],
     }
     for name, layers in broken.items():

@@ -32,6 +32,7 @@ TRAIN_VARIANTS = {
     "linear_sigmoid": {},
     "mlp_hidden8": {"model.arch": "mlp", "model.hidden": "8"},
     "cross_entropy": {"loss.psi": "cross_entropy"},
+    "ramp": {"loss.psi": "ramp"},
     "per_batch_weights": {"trainer.per_batch_weight_update": "true"},
 }
 
@@ -63,6 +64,12 @@ GOLDEN = {
         "checkpoint_seed1.bin": "13a63f8040cacaec9ecd1741ace75ad8557eb16446f20d1a949ea132334ebb6e",
         "metrics_seed0.csv": "1bb2e813349608d984ba8469225a6e5c580b00f78bf57ca8788497d3f15d55bd",
         "metrics_seed1.csv": "44e9cd1fcea60ff2e156078f8ed83b98f78881926126445d02c52ce7fd97be03",
+    },
+    "train_ramp": {
+        "checkpoint_seed0.bin": "cb758a32fb28e71e3e00f9e4b39b2638585ea370610a640b169cb585b2461104",
+        "checkpoint_seed1.bin": "9522ab9f98e3ecd27b5baf03fca0dbff97704ffe63199a0ea4636169b15d4e74",
+        "metrics_seed0.csv": "dcc04b3af20e753ab3aa11cc7d0b275d36191215832eee6f02fbc55a821457b4",
+        "metrics_seed1.csv": "8471e386cea22649945214029461bc060fd9571f376bdbe58e6e918887ac5f77",
     },
     "sweep_summary": "9497aaac271d092b0ffe8c49292e13fffc898abb8fcfa461a4197e67d6320fae",
 }

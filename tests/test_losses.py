@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lwpll import (
     CROSS_ENTROPY,
@@ -177,7 +178,7 @@ def test_gradient_at_zero():
     g = np.zeros(2)
     mask = np.array([True, False])
     w = np.ones(2)
-    grad = lw_loss_gradient_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
+    _, grad = lw_loss_gradient_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
     assert np.allclose(grad, [-0.25, 0.25], rtol=0.0, atol=1e-16)
 
 
@@ -202,7 +203,7 @@ def test_gradient_matches_finite_differences():
             alpha=float(rng.random() * 2.0),
             psi=psi,
         )
-        grad = lw_loss_gradient_batch(g, mask, w, cfg)
+        _, grad = lw_loss_gradient_batch(g, mask, w, cfg)
         fd = np.empty(k)
         for z in range(k):
             hi, lo = g.copy(), g.copy()
@@ -221,9 +222,60 @@ def test_gradient_batch_matches_scalar():
     g = np.array([r[0] for r in rows])
     masks = np.array([r[1] for r in rows])
     w = np.array([r[2] for r in rows])
-    batch = lw_loss_gradient_batch(g, masks, w, cfg)
+    _, batch = lw_loss_gradient_batch(g, masks, w, cfg)
     for i in range(32):
-        assert np.array_equal(batch[i], lw_loss_gradient_batch(g[i], masks[i], w[i], cfg))
+        _, row = lw_loss_gradient_batch(g[i], masks[i], w[i], cfg)
+        assert np.array_equal(batch[i], row)
+
+
+def separate_loss_and_gradient(g, m, w, cfg):
+    """The loss and its gradient as two separate passes, each evaluating psi
+    (or the softmax) on its own and psi' on both sides."""
+    if cfg.psi is CROSS_ENTROPY:
+        log_p = g - logsumexp(g, axis=1, keepdims=True)
+        p = np.exp(log_p)
+        pos, neg = -log_p, -np.log(np.maximum(1.0 - p, 1e-12))
+    else:
+        pos, neg = cfg.psi.value(g), cfg.psi.value(-g)
+    losses = (np.where(m, cfg.alpha * pos, cfg.beta * neg) * w).sum(axis=1)
+    if cfg.psi is CROSS_ENTROPY:
+        p = np.exp(g - logsumexp(g, axis=1, keepdims=True))
+        a = np.where(m, cfg.alpha * w, 0.0)
+        b = np.where(m, 0.0, cfg.beta * w * p / np.maximum(1.0 - p, 1e-12))
+        tot = (a - b).sum(axis=1, keepdims=True)
+        return losses, -a + b + p * tot
+    return losses, np.where(
+        m,
+        cfg.alpha * w * cfg.psi.derivative(g),
+        -cfg.beta * w * cfg.psi.derivative(-g),
+    )
+
+
+def test_one_kernel_matches_separate_passes_bytewise():
+    # Scores mix normal draws with signed zeros, the ramp kinks at +-1 and
+    # their neighbours; some rows are full candidate sets, some weights 0.
+    edges = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 2.0)])
+    rng = make_rng(223)
+    for trial in range(3000):
+        psi = (SIGMOID, RAMP, CROSS_ENTROPY)[trial % 3]
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        g = rng.normal(0.0, 3.0, size=(n, k))
+        g = np.where(rng.random((n, k)) < 0.4, rng.choice(edges, size=(n, k)), g)
+        mask = rng.random((n, k)) < 0.5
+        mask[rng.random(n) < 0.3] = True
+        mask[np.arange(n), rng.integers(k, size=n)] = True
+        w = np.where(rng.random((n, k)) < 0.2, 0.0, rng.random((n, k)))
+        cfg = LWConfig(beta=float(rng.choice([0.0, rng.random() * 3.0])),
+                       alpha=float(rng.choice([0.0, 1.0, rng.random() * 2.0])), psi=psi)
+        losses, grad = lw_loss_gradient_batch(g, mask, w, cfg)
+        want_losses, want_grad = separate_loss_and_gradient(g, mask, w, cfg)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert losses.tobytes() == lw_loss_batch(g, mask, w, cfg).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        one_loss, one_grad = lw_loss_gradient_batch(g[0], mask[0], w[0], cfg)
+        assert np.ndim(one_loss) == 0 and one_grad.shape == (k,)
+        assert one_loss.tobytes() == want_losses[0].tobytes()
+        assert one_grad.tobytes() == want_grad[0].tobytes()
 
 
 # special-case reductions

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lwpll.losses
 import lwpll.model
 from lwpll import (
     CROSS_ENTROPY,
+    RAMP,
     SIGMOID,
     Dataset,
     Layer,
@@ -115,7 +117,7 @@ def test_backward_matches_finite_differences():
         def loss_at(p):
             return lw_loss_batch(forward(p, x[0]), mask[0], w[0], cfg)
 
-        up = lw_loss_gradient_batch(forward(params, x[0]), mask[0], w[0], cfg)
+        _, up = lw_loss_gradient_batch(forward(params, x[0]), mask[0], w[0], cfg)
         grads = backward(params, x, up[None, :])
         worst = 0.0
         for li, (gw, gb) in enumerate(grads):
@@ -402,7 +404,8 @@ CHECKPOINT_FLOATS = st.one_of(
 @st.composite
 def networks(draw):
     arch = draw(st.sampled_from(["linear", "mlp"]))
-    widths = network_widths(arch, draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+    # Two classes at least: loading rejects a one-output network.
+    widths = network_widths(arch, draw(st.integers(1, 6)), draw(st.integers(2, 5)),
                             hidden=draw(st.integers(1, 5)))
     last = len(widths) - 2
     return NetworkParams([
@@ -494,6 +497,15 @@ def test_checkpoint_rejects_mismatched_layer_widths(tmp_path):
     assert str(info.value) == f"{path}: layer 1 takes 5 inputs but layer 0 gives 4"
 
 
+def test_checkpoint_rejects_a_network_with_one_output(tmp_path):
+    for layers in ([linear_layer(1, 3)], [linear_layer(4, 3), linear_layer(1, 4)]):
+        path = tmp_path / "one.bin"
+        save_checkpoint(NetworkParams(layers), path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: last layer has 1 output; a classifier needs at least 2"
+
+
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     path = tmp_path / "nan.bin"
     for bad in (np.nan, np.inf, -np.inf):
@@ -560,6 +572,33 @@ def test_train_runs_one_forward_pass_per_batch(monkeypatch):
         batches = [16] * (n_train // 16) + [n_train % 16]
         # per epoch: each batch once, the train split's scores, the validation accuracy
         assert calls == (batches + [n_train, n_val]) * tcfg.epochs
+
+
+@pytest.mark.parametrize("per_batch", [False, True])
+def test_train_makes_one_loss_call_per_batch(monkeypatch, per_batch):
+    kernel_calls, value_calls = [], []
+    real_kernel, real_value = lwpll.model.lw_loss_gradient_batch, lwpll.losses.lw_loss_batch
+
+    def kernel_spy(scores, *args):
+        kernel_calls.append(scores.shape[0])
+        return real_kernel(scores, *args)
+
+    def value_spy(scores, *args):
+        value_calls.append(scores.shape[0])
+        return real_value(scores, *args)
+
+    monkeypatch.setattr(lwpll.model, "lw_loss_gradient_batch", kernel_spy)
+    monkeypatch.setattr(lwpll.model, "lw_loss_batch", value_spy, raising=False)
+    monkeypatch.setattr(lwpll.losses, "lw_loss_batch", value_spy)
+    ds = toy_dataset(n=100, seed=4)
+    tcfg = TrainerConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=1,
+                         per_batch_weight_update=per_batch)
+    for psi in (SIGMOID, RAMP, CROSS_ENTROPY):
+        kernel_calls.clear()
+        result = train(ds, LWConfig(beta=1.0, psi=psi), tcfg)
+        n_train = len(result.train_indices)
+        assert kernel_calls == ([16] * (n_train // 16) + [n_train % 16]) * tcfg.epochs
+    assert value_calls == []
 
 
 def pre_activation_backward(params, x, upstream):
