@@ -21,10 +21,9 @@ the previous directory. Bad input exits 2; a diverged run exits 1.
 Sweeps pair runs across loss settings: for a given seed the corpus, the
 candidate sets, the parameter init, and the shuffle order are identical for
 every (alpha, beta) variant; the logged first-batch indices prove it.
-``train`` is a one-variant sweep. A seed's data is prepared once and shared
-by the variants that one task runs; ``LW_THREADS`` (default 1) caps the
-tasks per seed and the worker processes that run them, and no more workers
-start than there are tasks.
+``train`` is a one-variant sweep. Seeds run in order in one process, and a
+seed's data is prepared once for all its variants. Parallel runs are one
+process per seed (``--seed N``) or config, each with its BLAS thread count set.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -265,21 +265,23 @@ class ExperimentConfig:
 
 
 def _generation_model(cfg: ExperimentConfig, num_classes: int):
+    """The candidate-set model over `num_classes` classes, or None for
+    generation.kind=none; one the keys cannot build is an error naming them."""
     kind = cfg["generation.kind"]
-    reject = cfg["generation.reject_full"]
     if kind == "none":
         return None
-    if kind == "uniform":
-        return labelgen.make_uniform(num_classes, cfg["generation.q"], reject_full=reject)
-    case = int(kind.removeprefix("case"))
-    return labelgen.make_case(
-        num_classes,
-        case,
-        q1=cfg["generation.q1"],
-        q2=cfg["generation.q2"],
-        q3=cfg["generation.q3"],
-        reject_full=reject,
-    )
+    q_keys = (("generation.q",) if kind == "uniform"
+              else ("generation.q1", "generation.q2", "generation.q3"))
+    try:
+        if kind == "uniform":
+            return labelgen.make_uniform(num_classes, cfg["generation.q"],
+                                         reject_full=cfg["generation.reject_full"])
+        return labelgen.make_case(num_classes, int(kind.removeprefix("case")),
+                                  *(cfg[key] for key in q_keys),
+                                  reject_full=cfg["generation.reject_full"])
+    except ValueError as exc:
+        named = ", ".join(f"{key}={cfg[key]!r}" for key in ("generation.kind", *q_keys))
+        raise ConfigError(f"{named}: {exc}") from None
 
 
 def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -405,16 +407,17 @@ def _run_seed(cfg: ExperimentConfig, seed: int, variants: list, stage: str,
             for label, alpha, beta in variants]
 
 
-def _worker_count() -> int:
-    """Worker processes allowed by LW_THREADS (default 1); must be >= 1."""
-    text = os.environ.get("LW_THREADS", "1")
+def _environment() -> dict:
+    """What a run's bytes depend on besides its config: the Python, NumPy and
+    BLAS builds, the BLAS thread variables as set, and the CPU count."""
     try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"LW_THREADS must be an integer >= 1, got {text!r}")
-    return workers
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # NumPy < 1.26 has no dict mode
+        blas = {}
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            **threads, "cpu_count": os.cpu_count()}
 
 
 @contextmanager
@@ -422,10 +425,10 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
     """Yield (stage, publish): the one writer of <output.dir>/<fp>.
 
     Artifacts go into `stage`, a hidden `.<fp>.*` directory in output.dir.
-    `publish(body)` writes manifest.json last, with the fingerprint, command
-    and config added to `body`, then renames the stage to <output.dir>/<fp>,
-    replacing an earlier run's directory. Leaving the block unpublished
-    removes the stage, and output.dir if this call made it.
+    `publish(body)` writes manifest.json last, with the fingerprint, command,
+    config and environment added to `body`, then renames the stage to
+    <output.dir>/<fp>, replacing an earlier run's directory. Leaving the
+    block unpublished removes the stage, and output.dir if this call made it.
     """
     out_dir = cfg["output.dir"]
     made_out_dir = not os.path.isdir(out_dir)
@@ -437,7 +440,8 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
     os.chmod(stage, 0o777 & ~umask)
 
     def publish(body: dict) -> None:
-        manifest = {**body, "fingerprint": fp, "command": command, "config": cfg.values}
+        manifest = {**body, "fingerprint": fp, "command": command, "config": cfg.values,
+                    "environment": _environment()}
         with open(os.path.join(stage, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
@@ -494,36 +498,24 @@ def cmd_generate(cfg: ExperimentConfig, quiet: bool = False) -> int:
 
 def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
                     manifest_body, fp_extra: dict | None = None) -> int:
-    """The run loop of `train` and `sweep`: every seed of every (label,
-    alpha, beta) variant trains into subdirectory `label`. Each seed's
-    variants are dealt round-robin to at most LW_THREADS tasks, which a pool
-    of min(LW_THREADS, tasks) processes runs; a task prepares the seed's data
-    once and shares it across its variants. A seed's first batch must match across
-    variants (the paired design). The manifest body is `manifest_body(stage, fp, runs)`,
+    """The run loop of `train` and `sweep`: each seed in turn prepares its
+    data once, then trains every (label, alpha, beta) variant on it into
+    subdirectory `label`. A seed's first batch must match across variants
+    (the paired design). The manifest body is `manifest_body(stage, fp, runs)`,
     given each run's record; a diverged run or broken pairing publishes
     nothing and exits 1.
     """
-    workers = _worker_count()
     fp = cfg.fingerprint(extra=fp_extra)
     # CSV and IDX sources do not depend on the seed: read them once for all
-    # tasks. Each task draws a Gaussian source for its own seed.
+    # seeds. A Gaussian source is drawn for each seed.
     files = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, 0)
-    shares = min(workers, len(variants))
     with _run_directory(cfg, fp, command) as (stage, publish):
-        tasks = [(cfg, seed, variants[i::shares], stage, fp, files)
-                 for seed in cfg["seeds"] for i in range(shares)]
         try:
-            if workers > 1 and len(tasks) > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                    records = list(pool.map(_run_seed, *zip(*tasks)))
-            else:
-                records = [_run_seed(*task) for task in tasks]
+            runs = [run for seed in cfg["seeds"]
+                    for run in _run_seed(cfg, seed, variants, stage, fp, files)]
         except TrainingDiverged as exc:
             print(f"error: {command} {fp} diverged: {exc}", file=sys.stderr)
             return 1
-        runs = [run for task_runs in records for run in task_runs]
         reference: dict[int, list[int]] = {}
         for run in runs:
             first = run["first_batch_indices"]

@@ -19,6 +19,7 @@ a process that never evaluates one (``generate``, ``eval``) never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,10 +130,10 @@ class LWConfig:
     psi: BinaryLoss | CrossEntropyMode = field(default_factory=lambda: SIGMOID)
 
     def __post_init__(self):
-        if not (self.beta >= 0.0):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("beta", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _as_batch(scores, candidates, weights):

@@ -14,6 +14,8 @@ replay bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -204,16 +206,18 @@ class TrainerConfig:
     per_batch_weight_update: bool = False
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("lr_halving_period", 1), ("seed", 0)):
+            value = getattr(self, name)  # NumPy integers are Integral; floats are not
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not self.weight_decay >= 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.batch_size < 1 or self.epochs < 0 or self.lr_halving_period < 1:
-            raise ValueError("batch_size, epochs, lr_halving_period out of range")
 
 
 def learning_rate_at(tcfg: TrainerConfig, epoch: int) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import stat
 import struct
 import subprocess
@@ -298,60 +299,25 @@ def test_sweep_rejects_beta_with_ablation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    # Two workers deal each seed's three betas into tasks of two and one, so
-    # one worker task standardizes its seed's data once for two variants.
+def test_sweep_variant_matches_train_with_its_beta(tmp_path):
+    # A sweep prepares (and here standardizes) each seed's data once for all
+    # its variants; the beta-2 variant must still train what `train` with
+    # loss.beta = 2.0 trains on the same seeds.
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"dataset.standardize": "true"})
-    dirs = {}
-    for threads, name in (("1", "serial"), ("2", "par")):
-        monkeypatch.setenv("LW_THREADS", threads)
-        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1,2",
-                     "--out", str(tmp_path / name)]) == 0
-        (dirs[name],) = (tmp_path / name).iterdir()
-    files = sorted(p.relative_to(dirs["serial"]) for p in dirs["serial"].rglob("*")
-                   if p.is_file() and p.name != "manifest.json")
-    assert len(files) == 3 * 2 * 2 + 1  # metrics and checkpoint per run, summary
-    assert files == sorted(p.relative_to(dirs["par"]) for p in dirs["par"].rglob("*")
-                           if p.is_file() and p.name != "manifest.json")
-    for rel in files:
-        assert (dirs["serial"] / rel).read_bytes() == (dirs["par"] / rel).read_bytes(), rel
-
-
-def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
-    # A fork pool starts every worker at the first submit, so a pool wider
-    # than the task list forks idle processes. A serial stand-in records the
-    # width asked for and starts none.
-    import concurrent.futures
-
-    widths = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
-    dirs = {}
-    for threads, name in (("1", "serial"), ("8", "pooled")):
-        monkeypatch.setenv("LW_THREADS", threads)
-        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1",
-                     "--out", str(tmp_path / name)]) == 0
-        (dirs[name],) = (tmp_path / name).iterdir()
-    assert widths == [2]  # one seed, two betas: two tasks
-    files = sorted(p.relative_to(dirs["serial"]) for p in dirs["serial"].rglob("*")
-                   if p.is_file() and p.name != "manifest.json")
-    assert len(files) == 2 * 2 + 1
-    for rel in files:
-        assert (dirs["serial"] / rel).read_bytes() == (dirs["pooled"] / rel).read_bytes(), rel
+    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1,2",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"dataset.standardize": "true",
+                                                      "loss.beta": "2.0"})
+    assert main(["train", "--config", cfg_path, "--quiet", "--out", str(tmp_path / "train")]) == 0
+    (sweep_dir,) = (tmp_path / "sweep").iterdir()
+    (train_dir,) = (tmp_path / "train").iterdir()
+    for seed in (0, 1):
+        name = f"checkpoint_seed{seed}.bin"
+        assert (sweep_dir / "beta2" / name).read_bytes() == (train_dir / name).read_bytes()
+        rows = [(d / f"metrics_seed{seed}.csv").read_text().split("\n", 1)
+                for d in (sweep_dir / "beta2", train_dir)]
+        assert rows[0][0].startswith("# fingerprint=") and rows[0][0] != rows[1][0]
+        assert rows[0][1] == rows[1][1]
 
 
 def test_serial_sweep_prepares_each_seed_once(tmp_path, monkeypatch):
@@ -372,7 +338,6 @@ def test_serial_sweep_prepares_each_seed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("lwpll.cli.make_gaussian_task", draw)
     monkeypatch.setattr(GenerationModel, "sample_sets", sample)
-    monkeypatch.setenv("LW_THREADS", "1")
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
     assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1,2"]) == 0
     assert drawn == [0, 1]
@@ -585,16 +550,9 @@ def test_csv_source_is_read_once_per_command(tmp_path, monkeypatch):
         f"dataset.test_csv = {gen_dir / 'test.csv'}\n"
         "trainer.epochs = 2\nseeds = 0,1\n"
     )
-    cfg_path = write_config(tmp_path, csv_config, **{"output.dir": tmp_path / "serial"})
+    cfg_path = write_config(tmp_path, csv_config, **{"output.dir": tmp_path / "out"})
     assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
     assert sorted(os.path.basename(p) for p in loaded) == ["corpus.csv", "test.csv"]
-    monkeypatch.setenv("LW_THREADS", "2")
-    assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1",
-                 "--out", str(tmp_path / "par")]) == 0
-    serial_dir = next((tmp_path / "serial").iterdir())
-    par_dir = next((tmp_path / "par").iterdir())
-    for rel in ("summary.csv", "beta0/metrics_seed1.csv", "beta1/checkpoint_seed0.bin"):
-        assert (serial_dir / rel).read_bytes() == (par_dir / rel).read_bytes()
 
 
 def test_unknown_config_path_is_reported(tmp_path):
@@ -684,14 +642,36 @@ def test_num_classes_outside_csv_fails_before_any_run_directory(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_lw_threads_fails_before_any_run_directory(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
-    for value in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv("LW_THREADS", value)
-        for command in (["train"], ["sweep", "--beta", "0,1"]):
-            assert main(command + ["--config", cfg_path, "--quiet"]) == 2
-            assert "LW_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("extra, keys, problem", [
+    ("generation.q1 = 0.1\n", "generation.q1=0.1, generation.q2=0.3, generation.q3=0.1",
+     "case 3 needs q1 > q2 > q3, got 0.1, 0.3, 0.1"),
+    ("", "generation.q1=0.5, generation.q2=0.3, generation.q3=0.1",
+     "case 3 needs more than 6 classes"),
+], ids=["q_order", "class_count"])
+def test_generation_errors_name_their_keys(tmp_path, capsys, extra, keys, problem):
+    text = BASE_CONFIG + "generation.kind = case3\n" + extra
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+    for command in (["generate"], ["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generation.kind='case3', {keys}: {problem}"), err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    for command in (["generate"], ["train"], ["sweep", "--beta", "0"]):
+        out = tmp_path / command[0]
+        assert main(command + ["--config", cfg_path, "--quiet", "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        env = json.loads((run_dir / "manifest.json").read_text())["environment"]
+        assert env.pop("OPENBLAS_NUM_THREADS") == "3" and env.pop("OMP_NUM_THREADS") is None
+        assert env.pop("python") == platform.python_version()
+        assert env.pop("numpy") == np.__version__
+        assert env.pop("cpu_count") == os.cpu_count()
+        assert set(env) == {"blas", "blas_version"}
 
 
 # failed runs publish nothing
@@ -778,7 +758,7 @@ def test_diverging_train_reports_cleanly_when_warnings_are_errors(tmp_path):
     cfg_path = write_config(tmp_path, write_huge_feature_csvs(tmp_path),
                             **{"output.dir": tmp_path / "out"})
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, LW_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "lwpll", "train",

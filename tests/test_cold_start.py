@@ -1,11 +1,8 @@
 """Which heavy modules each command loads, checked in fresh interpreters.
 
-`scipy.special` is imported where a loss is first evaluated and the process
-pool where a run loop first needs one, so importing the package, `--help`,
-a rejected config, `generate` and `eval` must load neither. `verify` and a
-serial `train` evaluate losses and must load SciPy; a `train` whose runs go
-to worker processes (LW_THREADS >= 2) loads the pool instead, and SciPy
-only in the workers.
+`scipy.special` is imported where a loss is first evaluated, so importing
+the package, `--help`, a rejected config, `generate` and `eval` must not
+load it, while `verify` and `train`, which evaluate losses, must.
 """
 
 import os
@@ -18,7 +15,7 @@ import pytest
 from lwpll import init_network, make_rng, network_widths, save_checkpoint
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy.special", "concurrent.futures.process")
+DEFERRED = ("scipy.special",)
 
 # Runs `lwpll` with the given arguments (or only imports the package when
 # there are none), then reports which of DEFERRED ended up loaded.
@@ -43,8 +40,8 @@ seeds = 0,1
 """
 
 
-def run_probe(*args, cwd, threads="1"):
-    env = dict(os.environ, LW_THREADS=threads)
+def run_probe(*args, cwd):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, args)],
@@ -90,8 +87,3 @@ def test_loss_evaluating_commands_load_scipy(workdir):
     code, loaded = run_probe("train", "--config", "exp.cfg", "--quiet", cwd=workdir)
     assert (code, loaded) == (0, {"scipy.special"})
 
-
-def test_pooled_train_loads_the_pool_and_leaves_scipy_to_the_workers(workdir):
-    code, loaded = run_probe("train", "--config", "exp.cfg", "--quiet", cwd=workdir,
-                             threads="2")
-    assert (code, loaded) == (0, {"concurrent.futures.process"})

@@ -4,9 +4,7 @@ Every schema key is set to each probe value and run through `generate` and
 `train`; so are `train --seed`, `sweep --beta` and `verify --seed/--trials`.
 Each case must exit 0, exit 1 as a diverged run, or exit 2 with the key or
 flag named on stderr. No case may raise, and a failing case leaves no stage
-or run directory behind. The base config has two seeds, so with
-LW_THREADS=2 the accepted runs, diverging ones included, cross the process
-pool.
+or run directory behind.
 """
 
 import dataclasses

@@ -169,6 +169,10 @@ def test_lwconfig_validation():
         LWConfig(beta=-0.1)
     with pytest.raises(ValueError):
         LWConfig(beta=1.0, alpha=-1.0)
+    for field in ("beta", "alpha"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                LWConfig(**{"beta": 1.0, field: value})
 
 
 # gradients

@@ -190,6 +190,21 @@ def test_trainer_config_validation():
         TrainerConfig(learning_rate=0.1, epochs=1, weight_decay=float("nan"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.5), ("epochs", 1.5), ("lr_halving_period", 2.0), ("seed", 0.5),
+    ("learning_rate", float("inf")), ("weight_decay", float("inf")),
+])
+def test_trainer_config_rejects_what_train_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        TrainerConfig(**{"learning_rate": 0.1, "epochs": 1, field: value})
+
+
+def test_trainer_config_takes_numpy_integer_counts():
+    tcfg = TrainerConfig(learning_rate=0.1, epochs=np.int64(1), batch_size=np.int32(4),
+                         lr_halving_period=np.uint8(2), seed=np.int64(3))
+    assert tcfg.batch_size == 4
+
+
 def test_learning_rate_halving():
     tcfg = TrainerConfig(learning_rate=0.4, epochs=1, lr_halving_period=50)
     assert learning_rate_at(tcfg, 1) == 0.4
