@@ -20,7 +20,7 @@ the previous directory. Bad input exits 2; a diverged run exits 1.
 
 Sweeps pair runs across loss settings: for a given seed the corpus, the
 candidate sets, the parameter init, and the shuffle order are identical for
-every (alpha, beta) variant; the logged first-batch indices prove it.
+every (alpha, beta) variant; the logged first-batch indices record it.
 ``train`` is a one-variant sweep. Seeds run in order in one process, and a
 seed's data is prepared once for all its variants. Parallel runs are one
 process per seed (``--seed N``) or config, each with its BLAS thread count set.
@@ -324,7 +324,8 @@ def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
                 cfg["dataset.test_csv"], num_classes=train_ds.num_classes
             )
             if test_ds.true_labels is None:
-                raise ConfigError("the test set has no true labels to score against")
+                raise ConfigError(f"{cfg['dataset.test_csv']}: the test set has no true "
+                                  "labels to score against")
     limit = cfg["dataset.limit"]
     if limit > 0 and len(train_ds) > limit:
         # A copy, not a view, so the rows past the limit can be freed.
@@ -390,23 +391,6 @@ def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
     }
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int, variants: list, stage: str,
-              fingerprint: str, files: tuple[Dataset, Dataset | None] | None) -> list[dict]:
-    """Prepare seed `seed`'s data once, then run each (label, alpha, beta) of
-    `variants` on it in order; their manifest records.
-
-    `files` is the command's (train, test) pair read from a CSV or IDX
-    source, or None to draw the Gaussian task for this seed.
-    """
-    train_ds, test_ds = _load_source(cfg, seed) if files is None else files
-    train_ds = _partial_train_set(cfg, train_ds, seed)
-    if cfg["dataset.standardize"]:
-        train_ds, test_ds = (standardize(train_ds) + (None,) if test_ds is None
-                             else standardize(train_ds, test_ds))
-    return [_execute_run(cfg, alpha, beta, seed, stage, label, fingerprint, train_ds, test_ds)
-            for label, alpha, beta in variants]
-
-
 def _environment() -> dict:
     """What a run's bytes depend on besides its config: the Python, NumPy and
     BLAS builds, the BLAS thread variables as set, and the CPU count."""
@@ -428,10 +412,15 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
     `publish(body)` writes manifest.json last, with the fingerprint, command,
     config and environment added to `body`, then renames the stage to
     <output.dir>/<fp>, replacing an earlier run's directory. Leaving the
-    block unpublished removes the stage, and output.dir if this call made it.
+    block unpublished removes the stage, and each directory this call made
+    for output.dir that is left empty.
     """
     out_dir = cfg["output.dir"]
-    made_out_dir = not os.path.isdir(out_dir)
+    made = []  # output.dir and its missing ancestors, innermost first
+    missing = os.path.abspath(out_dir)
+    while not os.path.exists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=f".{fp}.", dir=out_dir)
     # mkdtemp makes the stage private (0700); give it the mode os.mkdir would.
@@ -455,9 +444,9 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
         yield stage, publish
     finally:
         shutil.rmtree(stage, ignore_errors=True)  # already gone once published
-        if made_out_dir:
-            with suppress(OSError):  # only an empty output.dir is removed
-                os.rmdir(out_dir)
+        with suppress(OSError):  # rmdir removes only an empty directory
+            for path in made:
+                os.rmdir(path)
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -500,29 +489,30 @@ def _train_variants(cfg: ExperimentConfig, command: str, variants: list,
                     manifest_body, fp_extra: dict | None = None) -> int:
     """The run loop of `train` and `sweep`: each seed in turn prepares its
     data once, then trains every (label, alpha, beta) variant on it into
-    subdirectory `label`. A seed's first batch must match across variants
+    subdirectory `label`. The variants share the prepared data and the
+    trainer settings, so a seed's first batch is the same for all of them
     (the paired design). The manifest body is `manifest_body(stage, fp, runs)`,
-    given each run's record; a diverged run or broken pairing publishes
-    nothing and exits 1.
+    given each run's record; a diverged run publishes nothing and exits 1.
     """
     fp = cfg.fingerprint(extra=fp_extra)
     # CSV and IDX sources do not depend on the seed: read them once for all
     # seeds. A Gaussian source is drawn for each seed.
     files = None if cfg["dataset.kind"] == "gaussian" else _load_source(cfg, 0)
     with _run_directory(cfg, fp, command) as (stage, publish):
+        runs = []
         try:
-            runs = [run for seed in cfg["seeds"]
-                    for run in _run_seed(cfg, seed, variants, stage, fp, files)]
+            for seed in cfg["seeds"]:
+                train_ds, test_ds = files or _load_source(cfg, seed)
+                train_ds = _partial_train_set(cfg, train_ds, seed)
+                if cfg["dataset.standardize"]:
+                    train_ds, test_ds = (standardize(train_ds) + (None,) if test_ds is None
+                                         else standardize(train_ds, test_ds))
+                runs += [_execute_run(cfg, alpha, beta, seed, stage, label, fp,
+                                      train_ds, test_ds)
+                         for label, alpha, beta in variants]
         except TrainingDiverged as exc:
             print(f"error: {command} {fp} diverged: {exc}", file=sys.stderr)
             return 1
-        reference: dict[int, list[int]] = {}
-        for run in runs:
-            first = run["first_batch_indices"]
-            if reference.setdefault(run["seed"], first) != first:
-                print(f"error: {command} {fp} broke pairing at seed {run['seed']} "
-                      f"(alpha={run['alpha']}, beta={run['beta']})", file=sys.stderr)
-                return 1
         publish(manifest_body(stage, fp, runs))
     return 0
 
@@ -737,14 +727,15 @@ def main(argv=None) -> int:
     def add_common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="config file path")
-            p.add_argument("--seed", type=int, help="replace the seeds list")
             p.add_argument("--out", help="override output.dir")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     add_common(sub.add_parser("generate", help="sample a partial-label corpus"))
-    add_common(sub.add_parser("train", help="train one run per seed"))
+    p_train = sub.add_parser("train", help="train one run per seed")
     p_sweep = sub.add_parser("sweep", help="paired runs across loss settings")
-    add_common(p_sweep)
+    for p in (p_train, p_sweep):
+        add_common(p)
+        p.add_argument("--seed", type=int, help="replace the seeds list")
     variants = p_sweep.add_mutually_exclusive_group()
     variants.add_argument(
         "--beta",

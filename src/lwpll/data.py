@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,12 +81,7 @@ class Dataset:
 
 def with_candidates(dataset: Dataset, masks) -> Dataset:
     """Return a copy of the dataset carrying the given candidate masks."""
-    return Dataset(
-        features=dataset.features,
-        num_classes=dataset.num_classes,
-        true_labels=dataset.true_labels,
-        partial_masks=np.asarray(masks, dtype=bool),
-    )
+    return replace(dataset, partial_masks=np.asarray(masks, dtype=bool))
 
 
 def take(dataset: Dataset, indices) -> Dataset:
@@ -120,17 +115,7 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     mu = train.features.mean(axis=0)
     sd = train.features.std(axis=0)
     sd = np.where(sd > 0.0, sd, 1.0)
-    out = []
-    for ds in (train, *others):
-        out.append(
-            Dataset(
-                features=(ds.features - mu) / sd,
-                num_classes=ds.num_classes,
-                true_labels=ds.true_labels,
-                partial_masks=ds.partial_masks,
-            )
-        )
-    return tuple(out)
+    return tuple(replace(ds, features=(ds.features - mu) / sd) for ds in (train, *others))
 
 
 def _read_idx(path: str, magic: int, header_dims: int) -> tuple[np.ndarray, tuple]:
@@ -157,9 +142,12 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise ValueError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
+    num_classes = int(labels.max()) + 1 if n else 0
+    if num_classes < 2:
+        raise ValueError(f"{labels_path}: need at least 2 classes, got {num_classes}")
     features = raw.astype(np.float64).reshape(n, rows * cols) / 255.0
-    y = labels.astype(np.int64)
-    return Dataset(features=features, num_classes=int(y.max()) + 1, true_labels=y)
+    return Dataset(features=features, num_classes=num_classes,
+                   true_labels=labels.astype(np.int64))
 
 
 def save_partial_csv(dataset: Dataset, path: str) -> None:

@@ -134,6 +134,16 @@ def test_generate_requires_generative_source(tmp_path):
     assert main(["generate", "--config", cfg_path]) == 2
 
 
+def test_generate_takes_no_seed_flag(tmp_path, capsys):
+    # generate draws from gaussian.seed and generation.seed only.
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--config", cfg_path, "--seed", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generation_none_without_candidate_sets_names_its_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out",
                                                       "generation.kind": "none"})
@@ -527,6 +537,27 @@ def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):
     assert not (tmp_path / "csv").exists()
 
 
+def test_input_errors_name_their_file(tmp_path, capsys):
+    (tmp_path / "train.csv").write_text("f0,candidates,true_label\n1.0,0,0\n2.0,0|1,1\n")
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("f0,candidates\n1.0,0\n2.0,1\n")
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)))
+    labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 0]))
+    cases = (
+        (f"dataset.kind = csv\ndataset.csv = {tmp_path / 'train.csv'}\n"
+         f"dataset.test_csv = {unlabeled}\n",
+         f"error: {unlabeled}: the test set has no true labels to score against\n"),
+        (f"dataset.kind = idx\ndataset.images = {images}\ndataset.labels = {labels}\n",
+         f"error: {labels}: need at least 2 classes, got 1\n"),
+    )
+    for text, message in cases:
+        cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_without_a_test_set_names_its_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "gaussian.test_n = 0\n", **{"output.dir": tmp_path / "out"})
     assert main(["sweep", "--config", cfg_path, "--quiet"]) == 2
@@ -717,6 +748,19 @@ def test_failed_command_leaves_no_run_directory(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     # Neither a <fingerprint> directory nor a .<fingerprint>.* stage.
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_failed_command_removes_the_directories_it_made(tmp_path, capsys):
+    # Five means do not fit in two dimensions: the Gaussian draw fails after
+    # the stage is made.
+    text = BASE_CONFIG.replace("gaussian.classes = 3", "gaussian.classes = 5")
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "x" / "y" / "z", tmp_path / "kept" / "y" / "z"):
+        cfg_path = write_config(tmp_path, text, **{"output.dir": out})
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+        assert "cannot place 5 equidistant means" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "kept"]
+    assert os.listdir(tmp_path / "kept") == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

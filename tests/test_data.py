@@ -128,6 +128,14 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(img, str(lone))
 
 
+@pytest.mark.parametrize("labels, classes", [([], 0), ([0, 0], 1)], ids=["empty", "one_class"])
+def test_load_idx_with_fewer_than_two_classes_names_the_labels_file(tmp_path, labels, classes):
+    img, lab = write_idx_pair(tmp_path, [0] * 4 * len(labels), labels)
+    with pytest.raises(ValueError) as info:
+        load_idx(img, lab)
+    assert str(info.value) == f"{lab}: need at least 2 classes, got {classes}"
+
+
 # partial-label CSV
 
 
