@@ -7,11 +7,14 @@ SHA-256 of the normalized effective config (defaults filled in, output
 directory excluded, seeds included), truncated to 12 hex digits. All
 artifacts land under ``<output.dir>/<fingerprint>/`` and every metrics file
 carries the fingerprint. The byte contract: the same fingerprint, run with
-the same NumPy/BLAS build and the same BLAS thread count, gives
-byte-identical metrics. The thread count is part of it because BLAS may
-split a long product differently per thread count (with 784 features the
-first layer's scores differ in the last bits between 1 and 2 OpenBLAS
-threads). Wall-clock timings go to the manifest, never into metrics CSVs.
+the same NumPy/BLAS build, the same BLAS kernel and the same BLAS thread
+count, gives byte-identical metrics. The kernel and the thread count are
+part of it because BLAS may order a product's sums differently per kernel
+and split a long product differently per thread count. OpenBLAS picks its
+kernel by CPU unless ``OPENBLAS_CORETYPE`` names one; its Haswell and
+SkylakeX kernels give different checkpoints even with 4 features, and with
+784 features the first layer's scores differ in the last bits between 1
+and 2 threads. Wall-clock timings go to the manifest, never into metrics CSVs.
 
 A run directory appears whole or not at all: it is built in a hidden stage
 ``<output.dir>/.<fingerprint>.*``, finished with ``manifest.json`` and then
@@ -148,7 +151,7 @@ _SCHEMA = {
     "gaussian.sigma": (float, 1.0, _at_least(0)),
     "gaussian.test_n": (int, 1000, _at_least(0)),
     "gaussian.seed": (int, 0, _at_least(0)),
-    "generation.kind": (str, "uniform", _one_of("uniform", "case1", "case2", "case3", "none")),
+    "generation.kind": (str, "uniform", _one_of("uniform", "case1", "case2", "case3")),
     "generation.q": (float, 0.3, _FRACTION),
     "generation.q1": (float, 0.5, _FRACTION),
     "generation.q2": (float, 0.3, _FRACTION),
@@ -265,11 +268,9 @@ class ExperimentConfig:
 
 
 def _generation_model(cfg: ExperimentConfig, num_classes: int):
-    """The candidate-set model over `num_classes` classes, or None for
-    generation.kind=none; one the keys cannot build is an error naming them."""
+    """The candidate-set model over `num_classes` classes; one the keys
+    cannot build is an error naming them."""
     kind = cfg["generation.kind"]
-    if kind == "none":
-        return None
     q_keys = (("generation.q",) if kind == "uniform"
               else ("generation.q1", "generation.q2", "generation.q3"))
     try:
@@ -326,6 +327,10 @@ def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
             if test_ds.true_labels is None:
                 raise ConfigError(f"{cfg['dataset.test_csv']}: the test set has no true "
                                   "labels to score against")
+    if test_ds is not None and test_ds.num_features != train_ds.num_features:
+        raise ConfigError(f"{cfg[_TEST_SET_KEY[kind]]}: the test set has "
+                          f"{test_ds.num_features} features, the training set "
+                          f"{train_ds.num_features}")
     limit = cfg["dataset.limit"]
     if limit > 0 and len(train_ds) > limit:
         # A copy, not a view, so the rows past the limit can be freed.
@@ -340,8 +345,6 @@ def _partial_train_set(cfg: ExperimentConfig, train_ds: Dataset, seed: int) -> D
     if train_ds.partial_masks is not None:
         return train_ds
     model = _generation_model(cfg, train_ds.num_classes)
-    if model is None:
-        raise ConfigError("the training source has no candidate sets and generation.kind=none")
     masks = model.sample_sets(train_ds.true_labels, make_rng(cfg["generation.seed"], stream=seed))
     return with_candidates(train_ds, masks)
 
@@ -393,15 +396,17 @@ def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
 
 def _environment() -> dict:
     """What a run's bytes depend on besides its config: the Python, NumPy and
-    BLAS builds, the BLAS thread variables as set, and the CPU count."""
+    BLAS builds, the BLAS kernel and thread variables as set, and the CPU
+    count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # NumPy < 1.26 has no dict mode
         blas = {}
-    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    pins = {var: os.environ.get(var)
+            for var in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
-            **threads, "cpu_count": os.cpu_count()}
+            **pins, "cpu_count": os.cpu_count()}
 
 
 @contextmanager
@@ -688,11 +693,10 @@ def cmd_eval(
     widths = params.widths
     dataset = load_partial_csv(csv_path, num_classes=widths[-1])
     if dataset.true_labels is None:
-        raise ConfigError("evaluation needs a true_label column")
+        raise ConfigError(f"{csv_path}: evaluation needs a true_label column")
     if widths[0] != dataset.num_features:
-        raise ConfigError(
-            f"checkpoint expects d={widths[0]}; dataset has d={dataset.num_features}"
-        )
+        raise ConfigError(f"{csv_path}: the dataset has d={dataset.num_features}, but "
+                          f"checkpoint {checkpoint_path} expects d={widths[0]}")
     preds = predict(params, dataset.features)
     acc = float(np.mean(preds == dataset.true_labels))
     k = dataset.num_classes

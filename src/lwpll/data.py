@@ -139,9 +139,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     raw, (n, rows, cols) = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     labels, (n_labels,) = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if n != n_labels:
-        raise ValueError(
-            f"image/label count mismatch: {n} images vs {n_labels} labels"
-        )
+        raise ValueError(f"image/label count mismatch: {images_path} has {n} images, "
+                         f"{labels_path} has {n_labels} labels")
     num_classes = int(labels.max()) + 1 if n else 0
     if num_classes < 2:
         raise ValueError(f"{labels_path}: need at least 2 classes, got {num_classes}")

@@ -316,13 +316,12 @@ def train(
                     layer.W -= lr * vw
                     layer.b -= lr * vb
                 if tcfg.per_batch_weight_update:
-                    sub = WeightState(w=state.w[rows], masks=masks)
                     refreshed = _finite(forward(params, x), epoch, batch_no, lr)
-                    state.w[rows] = update_weights(sub, refreshed).w
+                    state.w[rows] = update_weights(masks, refreshed).w
 
             train_scores = _finite(forward(params, features), epoch, batch_no, lr)
             if not tcfg.per_batch_weight_update:
-                state = update_weights(state, train_scores)
+                state = update_weights(state.masks, train_scores)
             train_acc = float("nan")
             if train_ds.true_labels is not None:
                 train_acc = float(np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels))

@@ -2,10 +2,10 @@
 
 Each training instance i with candidate mask S_i carries a weight vector
 w[i] that sums to 1 over S_i and to 1 over its complement (the complement
-side is all zeros when S_i covers every class). Weights start uniform within
-each side and are refreshed from the current scores by a softmax restricted
-to each side, so better-scoring labels accumulate weight without any
-gradient flowing through w.
+side is all zeros when S_i covers every class). One formula sets w: a
+softmax of the current scores restricted to each side, so better-scoring
+labels accumulate weight without any gradient flowing through w. The start
+weights are its value at equal scores, uniform within each side.
 """
 
 from __future__ import annotations
@@ -32,25 +32,8 @@ class WeightState:
 
 
 def init_weights(masks) -> WeightState:
-    """Uniform weights per side: 1/|S_i| on candidates, 1/(K - |S_i|) off.
-
-    An instance whose candidate set covers all K classes gets zeros on the
-    (empty) complement side.
-    """
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 2:
-        raise ValueError("masks must be a 2-D boolean array")
-    if not masks.any(axis=1).all():
-        raise ValueError("every candidate set must be nonempty")
-    n, num_classes = masks.shape
-    in_count = masks.sum(axis=1, keepdims=True)
-    out_count = num_classes - in_count
-    w = np.where(
-        masks,
-        1.0 / in_count,
-        np.divide(1.0, out_count, out=np.zeros((n, 1)), where=out_count > 0),
-    )
-    return WeightState(w=w, masks=masks)
+    """Start weights: the refresh at equal scores, uniform within each side."""
+    return update_weights(masks, np.zeros(np.shape(masks)))
 
 
 def _side_softmax(scores: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -64,17 +47,20 @@ def _side_softmax(scores: np.ndarray, side: np.ndarray) -> np.ndarray:
     return np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
 
 
-def update_weights(state: WeightState, scores) -> WeightState:
-    """Refresh weights from scores: softmax within each side of the mask."""
+def update_weights(masks, scores) -> WeightState:
+    """Weights from scores: a softmax within each side of the candidate masks,
+    which must be 2-D with every set nonempty; the scores must be finite."""
+    m = np.asarray(masks, dtype=bool)
+    if m.ndim != 2:
+        raise ValueError("masks must be a 2-D boolean array")
+    if not m.any(axis=1).all():
+        raise ValueError("every candidate set must be nonempty")
     g = np.asarray(scores, dtype=float)
-    if g.shape != state.masks.shape:
-        raise ValueError(
-            f"scores shape {g.shape} does not match masks {state.masks.shape}"
-        )
+    if g.shape != m.shape:
+        raise ValueError(f"scores shape {g.shape} does not match masks {m.shape}")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
-    w = _side_softmax(g, state.masks) + _side_softmax(g, ~state.masks)
-    return WeightState(w=w, masks=state.masks)
+    return WeightState(w=_side_softmax(g, m) + _side_softmax(g, ~m), masks=m)
 
 
 def partition_sums(state: WeightState) -> tuple[np.ndarray, np.ndarray]:

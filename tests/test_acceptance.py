@@ -212,9 +212,9 @@ def test_criterion_05_weight_update_invariants():
     shift_gap = 0.0
     state = init_weights(masks)
     g = rng.normal(size=masks.shape)
-    base = update_weights(state, g)
+    base = update_weights(state.masks, g)
     for c in (1.0, -3.7, 25.0):
-        shifted = update_weights(state, g + c)
+        shifted = update_weights(state.masks, g + c)
         shift_gap = max(shift_gap, np.abs(shifted.w - base.w).max())
     ok = epochs_seen == [1, 2, 3, 4, 5] and worst <= 1e-12 and shift_gap <= 1e-12
     verdict(

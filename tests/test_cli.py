@@ -129,7 +129,7 @@ def test_generate_zero_contamination_is_singleton(tmp_path, capsys):
 def test_generate_requires_generative_source(tmp_path):
     cfg_path = write_config(
         tmp_path,
-        "dataset.kind = csv\ndataset.csv = somewhere.csv\ngeneration.kind = none\n",
+        "dataset.kind = csv\ndataset.csv = somewhere.csv\n",
     )
     assert main(["generate", "--config", cfg_path]) == 2
 
@@ -144,13 +144,14 @@ def test_generate_takes_no_seed_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_generation_none_without_candidate_sets_names_its_key(tmp_path, capsys):
+def test_generation_kind_none_is_not_a_value(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out",
                                                       "generation.kind": "none"})
     for command in ("generate", "train"):
         assert main([command, "--config", cfg_path, "--quiet"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "generation.kind" in captured.err, command
+        assert "'none'" in captured.err, command
         assert not (tmp_path / "out").exists()
 
 
@@ -558,6 +559,80 @@ def test_input_errors_name_their_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def write_idx_source(tmp_path, name, n, side):
+    """IDX files of `n` random `side` x `side` images, labelled 0, 1, 2, 0, ..."""
+    pixels = np.random.default_rng(n + side).integers(0, 256, size=n * side * side)
+    images, labels = tmp_path / f"{name}_images.idx", tmp_path / f"{name}_labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, n, side, side) + bytes(pixels.tolist()))
+    labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+    return images, labels
+
+
+@pytest.mark.parametrize("case", ["csv", "csv_standardized", "idx"])
+def test_test_set_of_another_width_fails_before_any_run(tmp_path, capsys, monkeypatch, case):
+    if case == "idx":
+        images, labels = write_idx_source(tmp_path, "train", 30, 3)
+        test_images, test_labels = write_idx_source(tmp_path, "test", 6, 2)
+        text = (f"dataset.kind = idx\ndataset.images = {images}\ndataset.labels = {labels}\n"
+                f"dataset.test_images = {test_images}\ndataset.test_labels = {test_labels}\n")
+        test_path, widths = test_images, (4, 9)
+    else:
+        rows = "".join(f"{i},{-i},{i % 5},{i % 3},{i % 3}\n" for i in range(40))
+        (tmp_path / "train.csv").write_text("f0,f1,f2,candidates,true_label\n" + rows)
+        test_path = tmp_path / "test.csv"
+        test_path.write_text("f0,f1,candidates,true_label\n"
+                             + "".join(f"{i},{i},{i % 3},{i % 3}\n" for i in range(20)))
+        text = (f"dataset.kind = csv\ndataset.csv = {tmp_path / 'train.csv'}\n"
+                f"dataset.test_csv = {test_path}\n"
+                f"dataset.standardize = {str(case == 'csv_standardized').lower()}\n")
+        widths = (2, 3)
+    runs = []
+    monkeypatch.setattr("lwpll.cli.train", lambda *args, **kwargs: runs.append(args))
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr() == ("", f"error: {test_path}: the test set has {widths[0]} "
+                                           f"features, the training set {widths[1]}\n")
+    assert runs == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_idx_train_and_test_run_records_a_test_accuracy(tmp_path, capsys):
+    images, labels = write_idx_source(tmp_path, "train", 60, 3)
+    test_images, test_labels = write_idx_source(tmp_path, "test", 12, 3)
+    text = (f"dataset.kind = idx\ndataset.images = {images}\ndataset.labels = {labels}\n"
+            f"dataset.test_images = {test_images}\ndataset.test_labels = {test_labels}\n"
+            "trainer.epochs = 2\n")
+    cfg_path = write_config(tmp_path, text, **{"output.dir": tmp_path / "out"})
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    (run_dir,) = (tmp_path / "out").iterdir()
+    (run,) = json.loads((run_dir / "manifest.json").read_text())["runs"]
+    assert 0.0 <= run["test_accuracy"] <= 1.0
+    last = (run_dir / "metrics_seed0.csv").read_text().splitlines()[-1]
+    assert last == f"# test_accuracy={run['test_accuracy']!r}"
+
+
+def test_eval_errors_name_their_files(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path,
+        BASE_CONFIG.replace("seeds = 0,1", "seeds = 0").replace("trainer.epochs = 2", "trainer.epochs = 1"),
+        **{"output.dir": tmp_path / "out"},
+    )
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    checkpoint = next((tmp_path / "out").iterdir()) / "checkpoint_seed0.bin"
+    unlabeled, wide = tmp_path / "unlabeled.csv", tmp_path / "wide.csv"
+    unlabeled.write_text("f0,f1,candidates\n0.1,0.2,0\n")
+    wide.write_text("f0,f1,f2,candidates,true_label\n0.1,0.2,0.3,0,0\n")
+    cases = (
+        (unlabeled, f"error: {unlabeled}: evaluation needs a true_label column\n"),
+        (wide, f"error: {wide}: the dataset has d=3, but checkpoint {checkpoint} expects d=2\n"),
+    )
+    for csv_path, message in cases:
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_sweep_without_a_test_set_names_its_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "gaussian.test_n = 0\n", **{"output.dir": tmp_path / "out"})
     assert main(["sweep", "--config", cfg_path, "--quiet"]) == 2
@@ -691,6 +766,7 @@ def test_generation_errors_name_their_keys(tmp_path, capsys, extra, keys, proble
 
 def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
     for command in (["generate"], ["train"], ["sweep", "--beta", "0"]):
@@ -699,6 +775,7 @@ def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
         (run_dir,) = out.iterdir()
         env = json.loads((run_dir / "manifest.json").read_text())["environment"]
         assert env.pop("OPENBLAS_NUM_THREADS") == "3" and env.pop("OMP_NUM_THREADS") is None
+        assert env.pop("OPENBLAS_CORETYPE") == "Haswell"
         assert env.pop("python") == platform.python_version()
         assert env.pop("numpy") == np.__version__
         assert env.pop("cpu_count") == os.cpu_count()

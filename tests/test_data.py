@@ -124,8 +124,10 @@ def test_load_idx_count_mismatch(tmp_path):
     img, _ = write_idx_pair(tmp_path, [0] * 8, [0, 1])
     lone = tmp_path / "lone.idx"
     lone.write_bytes(struct.pack(">II", 0x801, 1) + bytes([0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_idx(img, str(lone))
+    assert str(info.value) == (f"image/label count mismatch: {img} has 2 images, "
+                               f"{lone} has 1 labels")
 
 
 @pytest.mark.parametrize("labels, classes", [([], 0), ([0, 0], 1)], ids=["empty", "one_class"])

@@ -45,14 +45,14 @@ def test_init_rejects_empty_sets():
 def test_update_equal_scores():
     masks = np.array([[True, True, False]])
     state = init_weights(masks)
-    new = update_weights(state, np.zeros((1, 3)))
+    new = update_weights(state.masks, np.zeros((1, 3)))
     assert np.allclose(new.w, [[0.5, 0.5, 1.0]], rtol=0.0, atol=1e-16)
 
 
 def test_update_restricted_softmax_values():
     masks = np.array([[True, True, False]])
     state = init_weights(masks)
-    new = update_weights(state, np.array([[1.0, 0.0, -1.0]]))
+    new = update_weights(state.masks, np.array([[1.0, 0.0, -1.0]]))
     assert abs(new.w[0, 0] - 0.7310585786300049) < 1e-15
     assert abs(new.w[0, 1] - 0.2689414213699951) < 1e-15
     assert new.w[0, 2] == 1.0
@@ -63,9 +63,9 @@ def test_update_shift_invariance():
     masks = random_masks(rng, 50, 6)
     state = init_weights(masks)
     g = rng.normal(0.0, 3.0, size=(50, 6))
-    base = update_weights(state, g)
+    base = update_weights(state.masks, g)
     for c in (0.5, -7.3, 40.0):
-        shifted = update_weights(state, g + c)
+        shifted = update_weights(state.masks, g + c)
         assert np.abs(shifted.w - base.w).max() <= 1e-12
 
 
@@ -73,7 +73,7 @@ def test_update_survives_huge_scores():
     masks = np.array([[True, False, True], [True, True, True]])
     state = init_weights(masks)
     g = np.array([[1e4, -1e4, 9.9e3], [1e4, 1e4, -1e4]])
-    new = update_weights(state, g)
+    new = update_weights(state.masks, g)
     assert np.isfinite(new.w).all()
     inside, outside = partition_sums(new)
     assert np.allclose(inside, 1.0, rtol=0.0, atol=1e-12)
@@ -83,7 +83,7 @@ def test_partition_sums_after_update():
     rng = make_rng(67)
     masks = random_masks(rng, 200, 5)
     state = init_weights(masks)
-    new = update_weights(state, rng.normal(size=(200, 5)))
+    new = update_weights(state.masks, rng.normal(size=(200, 5)))
     assert (new.w >= 0).all()
     inside, outside = partition_sums(new)
     assert np.abs(inside - 1.0).max() <= 1e-12
@@ -109,7 +109,7 @@ def test_each_side_stays_a_distribution_property(case):
     masks, scores = case
     full = masks.all(axis=1)
     initial = init_weights(masks)
-    for state in (initial, update_weights(initial, scores)):
+    for state in (initial, update_weights(initial.masks, scores)):
         assert (state.w >= 0.0).all()
         inside, outside = partition_sums(state)
         assert np.abs(inside - 1.0).max() <= 1e-12
@@ -123,7 +123,7 @@ def test_update_preserves_score_order():
     masks = random_masks(rng, 100, 6)
     state = init_weights(masks)
     g = rng.normal(size=(100, 6))
-    new = update_weights(state, g)
+    new = update_weights(state.masks, g)
     for i in range(100):
         for side in (masks[i], ~masks[i]):
             idx = np.where(side)[0]
@@ -137,7 +137,7 @@ def test_update_keeps_masks_and_shape():
     rng = make_rng(73)
     masks = random_masks(rng, 20, 4)
     state = init_weights(masks)
-    new = update_weights(state, rng.normal(size=(20, 4)))
+    new = update_weights(state.masks, rng.normal(size=(20, 4)))
     assert new.w.shape == state.w.shape
     assert new.masks is state.masks or np.array_equal(new.masks, state.masks)
 
@@ -148,7 +148,28 @@ def test_state_validation():
     with pytest.raises(ValueError):
         WeightState(w=-np.ones((1, 3)), masks=np.ones((1, 3), dtype=bool))
     with pytest.raises(ValueError):
-        update_weights(
-            init_weights(np.array([[True, False]])),
-            np.array([[np.nan, 0.0]]),
-        )
+        update_weights(np.array([[True, False]]), np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("masks, message", [
+    (np.ones(3, dtype=bool), "masks must be a 2-D boolean array"),
+    (np.array([[True, False], [False, False]]), "every candidate set must be nonempty"),
+], ids=["one_dimensional", "empty_set"])
+def test_init_and_update_check_the_masks_alike(masks, message):
+    for make in (init_weights, lambda m: update_weights(m, np.zeros(np.shape(m)))):
+        with pytest.raises(ValueError, match=message):
+            make(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_and_scores())
+def test_start_weights_are_the_refresh_at_equal_scores_property(case):
+    # Bit for bit the closed form 1/|S_i| inside, 1/(K - |S_i|) outside.
+    masks, _ = case
+    inside = masks.sum(axis=1, keepdims=True)
+    outside = masks.shape[1] - inside
+    uniform = np.where(masks, 1.0 / inside, np.divide(
+        1.0, outside, out=np.zeros(inside.shape), where=outside > 0))
+    for state in (init_weights(masks), update_weights(masks, np.zeros(masks.shape))):
+        assert state.w.tobytes() == uniform.tobytes()
+        assert np.array_equal(state.masks, masks)
