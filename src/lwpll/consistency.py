@@ -12,20 +12,20 @@ property behind classifier consistency, and the collapse of the beta = 1
 loss to a function of the true-label score alone.
 
 The risk check works in batches of instances. Instances that share a
-(K, psi, beta, alpha) grid point are stacked, one q matrix per instance in
-one stacked `GenerationModel`, and each batch makes one set-probability,
-one `lw_loss_batch` and one `derived_supervised_loss` call. The loss of a
-candidate set does not depend on the true label, so it is evaluated once
-per nonempty set (2^K - 1 rows per instance) and shared by every label in
-the set. A batch holds at most MAX_BATCH_ROWS (label, set) rows, and at
-least one instance, so its memory is bounded whatever the instance count.
-The `derived_loss` hook receives the same batched arguments as the closed
-form and goes through the same accumulation. The risk instances are
-drawn exactly as one-at-a-time checking would draw them, and every
-reported figure is bit-identical to it: the per-row arithmetic and
-reduction order are unchanged, and `math.fsum` is exact. The
-coefficient-ordering instances are drawn and checked one K at a time, with
-one bulk Generator call per quantity.
+(K, psi) pair are stacked, each with its q matrix in one `GenerationModel`
+and its beta and alpha in one `LWConfig`, so one set-probability, one
+`lw_loss_batch` and one `derived_supervised_loss` call cover every
+(beta, alpha) grid point of the pair. The loss of a candidate set does not
+depend on the true label, so it is evaluated once per nonempty set (2^K - 1
+rows per instance) and shared by every label in the set. A batch holds at
+most MAX_BATCH_ROWS (label, set) rows, and at least one instance, so its
+memory is bounded whatever the instance count. The `derived_loss` hook
+receives the same batched arguments as the closed form and goes through the
+same accumulation. The risk instances are drawn exactly as one-at-a-time
+checking would draw them, and every reported figure is bit-identical to it:
+the per-row arithmetic and reduction order are unchanged, and `math.fsum` is
+exact. The coefficient-ordering instances are drawn and checked one K at a
+time, with one bulk Generator call per quantity.
 
 A NaN discrepancy ranks above every number (`severity`), so a check that
 produces one reports it as its worst case and fails.
@@ -51,9 +51,9 @@ from .rng import make_rng
 MAX_ENUMERATION_CLASSES = 16
 
 # Bound on the (label, set) rows of one certification batch, K 2^(K-1) per
-# instance; from K = 11 on a batch holds one instance, so a batch's memory
+# instance; from K = 10 on a batch holds one instance, so a batch's memory
 # does not grow with the instance count.
-MAX_BATCH_ROWS = 2**14
+MAX_BATCH_ROWS = 2**13
 
 
 class CheckNotApplicable(ValueError):
@@ -162,6 +162,12 @@ def _instances(scores, posterior, model: GenerationModel, weights):
     return p.reshape(-1, k), g.reshape(-1, k), w.reshape(-1, k), p.ndim == 1
 
 
+def _repeat_leverage(cfg: LWConfig, repeats) -> LWConfig:
+    """cfg with each per-instance beta and alpha repeated for its instance's rows."""
+    beta, alpha = (v if np.ndim(v) == 0 else np.repeat(v, repeats) for v in (cfg.beta, cfg.alpha))
+    return LWConfig(beta=beta, alpha=alpha, psi=cfg.psi)
+
+
 def partial_risk_bruteforce(
     scores, posterior, model: GenerationModel, weights, cfg: LWConfig
 ) -> float | np.ndarray:
@@ -174,7 +180,8 @@ def partial_risk_bruteforce(
 
     One instance (length-K scores, posterior, weights) gives a float. A
     stack of n models with (n, K) arrays gives the n risks, with one
-    set-probability and one loss evaluation for the whole stack.
+    set-probability and one loss evaluation for the whole stack; beta and
+    alpha may then hold one value per instance.
     """
     p, g, w, single = _instances(scores, posterior, model, weights)
     sets, labels, members = _label_set_rows(model.num_classes)
@@ -183,7 +190,7 @@ def partial_risk_bruteforce(
         np.repeat(g, sets.shape[0], axis=0),
         np.tile(sets, (n, 1)),
         np.repeat(w, sets.shape[0], axis=0),
-        cfg,
+        _repeat_leverage(cfg, sets.shape[0]),
     ).reshape(n, sets.shape[0])[:, members]
     probs = model.subset_probabilities(labels, sets[members])
     mass = p[:, labels]
@@ -207,7 +214,8 @@ def supervised_risk_direct(
     p_y != 0; each instance's terms are added in label order.
     `derived_loss` replaces the closed form (to prove a check can fail); it
     is called with the same batched arguments: a label vector and one row
-    of scores, weights and q per label.
+    of scores, weights and q per label, and a per-instance beta or alpha
+    repeated for each of its instance's labels.
 
     Rejection models are refused: dropping the full set rescales every set
     probability by 1/(1 - M_y) and the per-class closed form no longer
@@ -224,7 +232,8 @@ def supervised_risk_direct(
     inst, labels = np.nonzero(p)
     terms = np.zeros_like(p)
     terms[inst, labels] = p[inst, labels] * derived_loss(
-        labels, g[inst], w[inst], q[inst, labels], cfg
+        labels, g[inst], w[inst], q[inst, labels],
+        _repeat_leverage(cfg, np.count_nonzero(p, axis=1)),
     )
     total = np.zeros(p.shape[0])
     for column in terms.T:
@@ -348,43 +357,41 @@ def certify_risk_equivalence(
     Instance i draws random scores, posterior, weights and model, and walks
     the (K, psi, beta, alpha) grid round-robin; the cycle lengths 7, 3, 5, 2
     are pairwise coprime, so 210 instances already cover the full grid.
-    Instances i and i + period, period the least common multiple of the
-    cycle lengths, share a grid point; each such group is checked in
-    batches of at most max(1, MAX_BATCH_ROWS // (K 2^(K-1))) instances,
-    with one `partial_risk_bruteforce` and one `supervised_risk_direct`
-    call per batch. `derived_loss` substitutes the closed-form half (used
-    to prove the check can fail); the default is the production form.
+    Instances i and i + period, period the least common multiple of the K
+    and psi cycle lengths (21), share a (K, psi) pair; each such group is
+    checked in batches of at most max(1, MAX_BATCH_ROWS // (K 2^(K-1)))
+    instances, each with its own beta and alpha, with one
+    `partial_risk_bruteforce` and one `supervised_risk_direct` call per
+    batch. `derived_loss` substitutes the closed-form half (used to prove
+    the check can fail); the default is the production form.
     """
     rng = make_rng(seed)
     psis = tuple(BINARY_LOSSES.values())
-    period = math.lcm(len(k_values), len(psis), len(betas), len(alphas))
-    buffers = {}
+    period = math.lcm(len(k_values), len(psis))
+    groups = {}
     worst = (0.0, -1)
     for i in range(instances):
         j = i % period
-        k = k_values[j % len(k_values)]
-        if j not in buffers:
-            n = min(
-                max(1, MAX_BATCH_ROWS // (k << (k - 1))),
-                len(range(j, instances, period)),
-            )
-            buffers[j] = tuple(np.empty((n, k)) for _ in range(3)) + (
-                np.empty((n, k, k)),
-            )
-        g, p, w, q = buffers[j]
-        row = (i // period) % g.shape[0]
+        if j not in groups:
+            k = k_values[j % len(k_values)]
+            n = min(len(range(j, instances, period)), max(1, MAX_BATCH_ROWS // (k << (k - 1))))
+            buffers = [np.empty(n, dtype=np.intp)] + [np.empty((n, k)) for _ in range(3)]
+            groups[j] = (k, np.ones(k), *buffers, np.empty((n, k, k)))
+        k, ones, index, g, p, w, q = groups[j]
+        row = (i // period) % len(index)
+        index[row] = i
         g[row] = rng.normal(0.0, 2.0, size=k)
-        p[row] = rng.dirichlet(np.ones(k))
+        p[row] = rng.dirichlet(ones)
         rng.random(out=w[row])
         rng.random(out=q[row])
-        # Check the batch once it is full or its grid point has no more draws.
-        if row + 1 < g.shape[0] and i + period < instances:
+        # Check the batch once it is full or its group has no more draws.
+        if row + 1 < len(index) and i + period < instances:
             continue
         n = row + 1
         model = _random_model(q[:n])
         cfg = LWConfig(
-            beta=betas[j % len(betas)],
-            alpha=alphas[j % len(alphas)],
+            beta=np.take(betas, index[:n] % len(betas)),
+            alpha=np.take(alphas, index[:n] % len(alphas)),
             psi=psis[j % len(psis)],
         )
         lhs = partial_risk_bruteforce(g[:n], p[:n], model, w[:n], cfg)
@@ -392,11 +399,8 @@ def certify_risk_equivalence(
         # The first instance in draw order with the largest gap, as a
         # one-at-a-time scan from instance 0 keeping strict improvements
         # would report it (all gaps 0 name instance 0); NaN beats any number.
-        for r, gap in enumerate(np.abs(lhs - rhs).tolist()):
-            index = i - (row - r) * period
-            rank, worst_rank = severity(gap), severity(worst[0])
-            if worst[1] < 0 or rank > worst_rank or (rank == worst_rank and index < worst[1]):
-                worst = (gap, index)
+        checked = zip(np.abs(lhs - rhs).tolist(), index[:n].tolist())
+        worst = max(worst, *checked, key=lambda c: (c[1] >= 0, severity(c[0]), -c[1]))
     if worst[1] < 0:
         return ConsistencyReport(
             max_discrepancy=0.0, instances=instances, worst_case="no instances checked"

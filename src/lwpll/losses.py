@@ -19,7 +19,6 @@ a process that never evaluates one (``generate``, ``eval``) never loads it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,18 +121,32 @@ class LWConfig:
 
     beta leverages losses on non-candidate labels, alpha scales losses on
     candidate labels (1 except in ablations), psi is the per-class binary
-    loss or the cross-entropy marker.
+    loss or the cross-entropy marker. beta and alpha are floats, or 1-D
+    arrays with one value per batch row (kept as read-only copies); every
+    value must be finite and >= 0.
     """
 
-    beta: float
-    alpha: float = 1.0
+    beta: float | np.ndarray
+    alpha: float | np.ndarray = 1.0
     psi: BinaryLoss | CrossEntropyMode = field(default_factory=lambda: SIGMOID)
 
     def __post_init__(self):
         for name in ("beta", "alpha"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
+            if np.ndim(value):
+                value = np.array(value, dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+            if np.ndim(value) > 1 or not np.all(np.isfinite(value) & (value >= 0.0)):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _per_row(cfg: LWConfig, n: int):
+    """(alpha, beta) for n rows: a float as given, an array as an (n, 1) column."""
+    for name, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):
+        if np.shape(value) not in ((), (n,)):
+            raise ValueError(f"{name} has {len(value)} values for {n} rows")
+    return [v[:, None] if np.ndim(v) else v for v in (cfg.alpha, cfg.beta)]
 
 
 def _as_batch(scores, candidates, weights):
@@ -163,6 +176,7 @@ def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
     (sigmoid's is a commutative product, ramp's reads |g|), so both sides of
     the gradient share one psi'(g). The step loss fails in `derivative`."""
     g, m, w, squeeze = _as_batch(scores, candidates, weights)
+    alpha, beta = _per_row(cfg, g.shape[0])
     grad = None
     if isinstance(cfg.psi, CrossEntropyMode):
         from scipy.special import logsumexp
@@ -173,16 +187,16 @@ def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
         rest = np.maximum(1.0 - p, _LOG_FLOOR)
         neg = -np.log(rest)
         if with_gradient:
-            a = np.where(m, cfg.alpha * w, 0.0)
-            b = np.where(m, 0.0, cfg.beta * w * p / rest)
+            a = np.where(m, alpha * w, 0.0)
+            b = np.where(m, 0.0, beta * w * p / rest)
             grad = -a + b + p * (a - b).sum(axis=1, keepdims=True)
     else:
         pos = cfg.psi.value(g)
         neg = cfg.psi.value(-g)
         if with_gradient:
             slope = cfg.psi.derivative(g)
-            grad = np.where(m, cfg.alpha * w * slope, -cfg.beta * w * slope)
-    losses = (np.where(m, cfg.alpha * pos, cfg.beta * neg) * w).sum(axis=1)
+            grad = np.where(m, alpha * w * slope, -beta * w * slope)
+    losses = (np.where(m, alpha * pos, beta * neg) * w).sum(axis=1)
     return (losses[0], grad if grad is None else grad[0]) if squeeze else (losses, grad)
 
 
@@ -255,8 +269,9 @@ def derived_supervised_loss(
     One label with length-K scores, weights and q_row gives a float. A
     vector of n labels with an (n, K) q_row (row i for label i) gives the n
     losses; scores and weights are then either shared length-K vectors or
-    (n, K) arrays, one row per label. Every row is validated and summed
-    exactly as a single call would.
+    (n, K) arrays, one row per label, and cfg's beta and alpha may hold one
+    value per label. Every row is validated and summed exactly as a single
+    call would.
 
     Cross-entropy mode is rejected: its coordinates are softmax-coupled and
     no closed per-class form applies.
@@ -303,12 +318,13 @@ def derived_supervised_loss(
         raise ValueError("weights must be nonnegative")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
+    alpha, beta = _per_row(cfg, n)
     g = np.broadcast_to(g, q.shape)
     w = np.broadcast_to(w, q.shape)
     pos = cfg.psi.value(g)
     neg = cfg.psi.value(-g)
-    cross = w * (cfg.alpha * q * pos + cfg.beta * (1.0 - q) * neg)
+    cross = w * (alpha * q * pos + beta * (1.0 - q) * neg)
     # Each row's off-label terms, contiguous, sum in the single-label order.
     off_label = cross[others].reshape(n, k - 1).sum(axis=1)
-    out = cfg.alpha * w[rows, y] * pos[rows, y] + off_label
+    out = (alpha * w)[rows, y] * pos[rows, y] + off_label
     return float(out[0]) if single else out

@@ -646,13 +646,30 @@ def spy_on_batches(monkeypatch):
     return calls
 
 
+def expected_batches(instances, k_values, psis=3):
+    """Batch count of a certifier run: instance i is in (K, psi) group
+    i mod lcm(len(k_values), psis), and each group is checked in runs of at
+    most MAX_BATCH_ROWS // (K 2^(K-1)) instances, and at least one."""
+    cap = lwpll.consistency.MAX_BATCH_ROWS
+    groups = math.lcm(len(k_values), psis)
+    total = 0
+    for j in range(min(groups, instances)):
+        k = k_values[j % len(k_values)]
+        per_batch = max(1, cap // (k * 2 ** (k - 1)))
+        total += -(-len(range(j, instances, groups)) // per_batch)
+    return total
+
+
 def test_certifier_batches_share_one_loss_per_nonempty_set(monkeypatch):
     calls = spy_on_batches(monkeypatch)
     certify_risk_equivalence(1000, 201)
-    # 210 grid points, one batch each; 2^K - 1 loss rows per instance
-    assert len(calls["loss"]) == len(calls["probs"]) == 210
+    # 21 (K, psi) groups of 47 or 48 instances: one batch each for K <= 5;
+    # the row cap holds 42, 18 and 8 instances of K = 6, 7 and 8, so those
+    # groups take 2, 3 and 6 batches; 2^K - 1 loss rows per instance
+    batches = expected_batches(1000, (2, 3, 4, 5, 6, 7, 8))
+    assert len(calls["loss"]) == len(calls["probs"]) == batches == 12 + 3 * (2 + 3 + 6)
     per_instance = [rows // (2**k - 1) for rows, k in calls["loss"]]
-    assert [rows % (2**k - 1) for rows, k in calls["loss"]] == [0] * 210
+    assert [rows % (2**k - 1) for rows, k in calls["loss"]] == [0] * batches
     assert sum(per_instance) == 1000
     for (n, rows), (loss_rows, k) in zip(calls["probs"], calls["loss"]):
         assert loss_rows == n * (2**k - 1)
@@ -662,14 +679,14 @@ def test_certifier_batches_share_one_loss_per_nonempty_set(monkeypatch):
 def test_certifier_batches_respect_the_row_cap(monkeypatch):
     cap = lwpll.consistency.MAX_BATCH_ROWS
     calls = spy_on_batches(monkeypatch)
-    # three grid points of 34, 33 and 33 instances at K = 8 (1024 rows each)
+    # three groups of 34, 33 and 33 instances at K = 8 (1024 rows each)
     certify_risk_equivalence(100, 3, (8,), betas=(1.0,), alphas=(1.0,))
     sizes = [n for n, _ in calls["probs"]]
-    assert sizes == [16] * 6 + [1, 1, 2]
+    assert sizes == [8] * 12 + [1, 1, 2]
     assert all(n * rows <= cap for n, rows in calls["probs"])
     assert sum(sizes) == 100
-    # from K = 11 on two instances exceed the cap: one instance per batch
-    assert 2 * 11 * 2**10 > cap
+    # from K = 10 on two instances exceed the cap: one instance per batch
+    assert 2 * 10 * 2**9 > cap
     calls["loss"].clear()
     calls["probs"].clear()
     certify_risk_equivalence(6, 0, (12,))
@@ -681,15 +698,19 @@ def test_mutant_receives_batched_arguments_and_fails():
     seen = []
 
     def warped(y, g, w, q_row, cfg):
-        seen.append((np.shape(y), np.shape(g), np.shape(w), np.shape(q_row)))
+        seen.append((np.shape(y), np.shape(g), np.shape(w), np.shape(q_row),
+                     np.shape(cfg.beta), np.shape(cfg.alpha)))
         bent = LWConfig(beta=cfg.beta + 0.1, alpha=cfg.alpha, psi=cfg.psi)
         return derived_supervised_loss(y, g, w, q_row, bent)
 
     report = certify_risk_equivalence(420, 2, derived_loss=warped)
     assert not report.within(1e-10)
-    assert len(seen) == 210
-    for (rows,), g, w, q in seen:
+    # 21 (K, psi) groups of 20 instances: one batch each for K <= 6; the row
+    # cap holds 18 and 8 instances of K = 7 and 8, so those take 2 and 3
+    assert len(seen) == expected_batches(420, (2, 3, 4, 5, 6, 7, 8)) == 15 + 3 * (2 + 3)
+    for (rows,), g, w, q, beta, alpha in seen:
         assert g == w == q == (rows, q[1])
+        assert beta == alpha == (rows,)
         assert rows >= 2
 
 
@@ -724,6 +745,45 @@ def test_stacked_risks_equal_each_instance():
         partial_risk_bruteforce(
             np.zeros((2, 3)), np.full((2, 3), 1 / 3), stack, np.ones((2, 3)), cfg
         )
+
+
+def test_stacked_risks_take_one_beta_and_alpha_per_instance():
+    rng = make_rng(263)
+    for k in range(1, 9):
+        for reject in (False, True) if k > 1 else (False,):
+            n = 5
+            q = rng.random((n, k, k)) * 0.98
+            q[:, np.arange(k), np.arange(k)] = 1.0
+            stack = GenerationModel(q, reject_full=reject)
+            p = rng.dirichlet(np.ones(k), size=n)
+            if k > 2:
+                p[1, :2] = 0.0
+                p[1] /= p[1].sum()
+            g = rng.normal(0.0, 2.0, size=(n, k))
+            w = rng.random((n, k))
+            beta = np.where(rng.random(n) < 0.3, 0.0, rng.random(n) * 8.0)
+            alpha = rng.random(n) * 2.0
+            psi = (SIGMOID, RAMP, ZERO_ONE_STEP)[k % 3]
+            cfg = LWConfig(beta=beta, alpha=alpha, psi=psi)
+            each = [
+                (GenerationModel(q[i], reject_full=reject),
+                 LWConfig(beta=float(beta[i]), alpha=float(alpha[i]), psi=psi))
+                for i in range(n)
+            ]
+            assert partial_risk_bruteforce(g, p, stack, w, cfg).tolist() == [
+                partial_risk_bruteforce(g[i], p[i], model, w[i], one)
+                for i, (model, one) in enumerate(each)
+            ]
+            if not reject:
+                assert supervised_risk_direct(g, p, stack, w, cfg).tolist() == [
+                    supervised_risk_direct(g[i], p[i], model, w[i], one)
+                    for i, (model, one) in enumerate(each)
+                ]
+    for wrong in (np.ones(n - 1), np.ones(n + 1)):
+        with pytest.raises(ValueError):
+            partial_risk_bruteforce(g, p, stack, w, LWConfig(beta=wrong, psi=psi))
+        with pytest.raises(ValueError):
+            supervised_risk_direct(g, p, GenerationModel(q), w, LWConfig(beta=wrong, psi=psi))
 
 
 VERIFY_SEED_0 = """\
@@ -829,7 +889,7 @@ def test_uniform_recovery_reports_a_nan_gap(monkeypatch):
 
 def test_zero_gaps_name_the_first_instance_checked():
     # K = 1 has one candidate set, so both risks agree exactly; instance 0's
-    # batch (0, 30, 60, 90) is checked after the batch holding 10, 40 and 70
+    # batch (0, 3, ..., 99) is checked after the batches holding 1 and 2
     report = certify_risk_equivalence(100, 0, (1,))
     assert report.max_discrepancy == 0.0
     assert report.worst_case.startswith("instance 0: K=1, psi=sigmoid,")

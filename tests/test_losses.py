@@ -175,6 +175,84 @@ def test_lwconfig_validation():
                 LWConfig(**{"beta": 1.0, field: value})
 
 
+def test_lwconfig_rejects_bad_per_row_values():
+    for field in ("beta", "alpha"):
+        for bad in ([1.0, float("nan")], [0.5, -0.25, 1.0], [2.0, float("inf")]):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+                LWConfig(**{"beta": 1.0, field: np.array(bad)})
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LWConfig(**{"beta": 1.0, field: np.ones((2, 2))})
+    given = np.array([0.5, 2.0])
+    cfg = LWConfig(beta=given, alpha=[1.0, 0.0])
+    given[0] = -1.0
+    assert cfg.beta.tolist() == [0.5, 2.0] and cfg.alpha.dtype == float
+    with pytest.raises(ValueError):
+        cfg.beta[0] = -1.0
+
+
+# per-row beta and alpha
+
+
+def per_row_batch(rng, n, k):
+    """Random (n, K) scores, masks and weights and n-value beta and alpha,
+    zeros among them."""
+    g = rng.normal(0.0, 3.0, size=(n, k))
+    mask = rng.random((n, k)) < 0.5
+    mask[np.arange(n), rng.integers(k, size=n)] = True
+    w = rng.random((n, k))
+    beta = np.where(rng.random(n) < 0.2, 0.0, rng.random(n) * 8.0)
+    alpha = np.where(rng.random(n) < 0.2, 0.0, rng.random(n) * 2.0)
+    return g, mask, w, beta, alpha
+
+
+def test_per_row_leverage_equals_row_by_row_calls_bytewise():
+    rng = make_rng(257)
+    for trial in range(200):
+        psi = (SIGMOID, RAMP, ZERO_ONE_STEP, CROSS_ENTROPY)[trial % 4]
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        g, mask, w, beta, alpha = per_row_batch(rng, n, k)
+        cfg = LWConfig(beta=beta, alpha=alpha, psi=psi)
+        each = [LWConfig(beta=float(beta[i]), alpha=float(alpha[i]), psi=psi) for i in range(n)]
+        losses = lw_loss_batch(g, mask, w, cfg)
+        assert losses.tobytes() == np.array(
+            [lw_loss_batch(g[i], mask[i], w[i], each[i]) for i in range(n)]
+        ).tobytes()
+        if psi is ZERO_ONE_STEP:
+            with pytest.raises(UnsupportedLossError):
+                lw_loss_gradient_batch(g, mask, w, cfg)
+        else:
+            both, grad = lw_loss_gradient_batch(g, mask, w, cfg)
+            rows = [lw_loss_gradient_batch(g[i], mask[i], w[i], each[i]) for i in range(n)]
+            assert both.tobytes() == losses.tobytes()
+            assert grad.tobytes() == np.array([r[1] for r in rows]).tobytes()
+        labels = rng.integers(k, size=n)
+        q = rng.random((n, k)) * 0.98
+        q[np.arange(n), labels] = 1.0
+        if psi is CROSS_ENTROPY:
+            with pytest.raises(UnsupportedLossError):
+                derived_supervised_loss(labels, g, w, q, cfg)
+            continue
+        derived = derived_supervised_loss(labels, g, w, q, cfg)
+        assert derived.tobytes() == np.array([
+            derived_supervised_loss(int(labels[i]), g[i], w[i], q[i], each[i])
+            for i in range(n)
+        ]).tobytes()
+
+
+def test_per_row_leverage_needs_one_value_per_row():
+    g, mask, w = np.zeros((3, 2)), np.ones((3, 2), dtype=bool), np.ones((3, 2))
+    for field in ("beta", "alpha"):
+        for count in (2, 4):
+            cfg = LWConfig(**{"beta": 1.0, field: np.ones(count), "psi": SIGMOID})
+            with pytest.raises(ValueError, match=f"^{field} has {count} values for 3 rows"):
+                lw_loss_batch(g, mask, w, cfg)
+            with pytest.raises(ValueError, match=f"^{field} has {count} values for 3 rows"):
+                derived_supervised_loss(np.zeros(3, dtype=int), g, w, np.ones((3, 2)) / 2
+                                        + np.eye(2)[[0, 0, 0]] / 2, cfg)
+            with pytest.raises(ValueError, match=f"^{field} has {count} values for 1 rows"):
+                lw_loss_batch(g[0], mask[0], w[0], cfg)
+
+
 # gradients
 
 
