@@ -7,14 +7,19 @@ SHA-256 of the normalized effective config (defaults filled in, output
 directory excluded, seeds included), truncated to 12 hex digits. All
 artifacts land under ``<output.dir>/<fingerprint>/`` and every metrics file
 carries the fingerprint. The byte contract: the same fingerprint, run with
-the same NumPy/BLAS build, the same BLAS kernel and the same BLAS thread
-count, gives byte-identical metrics. The kernel and the thread count are
-part of it because BLAS may order a product's sums differently per kernel
-and split a long product differently per thread count. OpenBLAS picks its
-kernel by CPU unless ``OPENBLAS_CORETYPE`` names one; its Haswell and
-SkylakeX kernels give different checkpoints even with 4 features, and with
-784 features the first layer's scores differ in the last bits between 1
-and 2 threads. Wall-clock timings go to the manifest, never into metrics CSVs.
+the same NumPy/BLAS build, the same NumPy SIMD dispatch, the same BLAS
+kernel and the same BLAS thread count, gives byte-identical metrics. The
+dispatch is part of it because NumPy's AVX512 loops for float64 ``exp``
+and ``log`` differ from its AVX2 loops, which give libm's results, in the
+last bit of some values; NumPy picks its loops by CPU unless
+``NPY_DISABLE_CPU_FEATURES`` names targets to skip. The kernel and the
+thread count are part of it because BLAS may order a product's sums
+differently per kernel and split a long product differently per thread
+count. OpenBLAS picks its kernel by CPU unless ``OPENBLAS_CORETYPE`` names
+one; its Haswell and SkylakeX kernels give different checkpoints even with
+4 features, and with 784 features the first layer's scores differ in the
+last bits between 1 and 2 threads. Wall-clock timings go to the manifest,
+never into metrics CSVs.
 
 A run directory appears whole or not at all: it is built in a hidden stage
 ``<output.dir>/.<fingerprint>.*``, finished with ``manifest.json`` and then
@@ -396,17 +401,26 @@ def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
 
 def _environment() -> dict:
     """What a run's bytes depend on besides its config: the Python, NumPy and
-    BLAS builds, the BLAS kernel and thread variables as set, and the CPU
+    BLAS builds, the SIMD targets NumPy's float64 `exp` and `log` run, the
+    BLAS kernel, thread and NumPy dispatch variables as set, and the CPU
     count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # NumPy < 1.26 has no dict mode
         blas = {}
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # NumPy < 2.0
+        dispatch = None
+    else:
+        loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        dispatch = {name: loops[name]["dd"]["current"] for name in ("exp", "log")}
     pins = {var: os.environ.get(var)
-            for var in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            for var in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "NPY_DISABLE_CPU_FEATURES")}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
-            **pins, "cpu_count": os.cpu_count()}
+            "numpy_dispatch": dispatch, **pins, "cpu_count": os.cpu_count()}
 
 
 @contextmanager

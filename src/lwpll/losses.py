@@ -12,9 +12,6 @@ loss is symmetric too but has no usable derivative and is meant for
 enumeration-style checks only. A cross-entropy instantiation replaces the
 per-class binary losses with -log softmax terms and is handled separately
 because softmax couples the coordinates.
-
-``scipy.special`` is imported inside the functions that evaluate a loss, so
-a process that never evaluates one (``generate``, ``eval``) never loads it.
 """
 
 from __future__ import annotations
@@ -25,6 +22,28 @@ import numpy as np
 
 # Floor applied to probabilities before taking logs in cross-entropy mode.
 _LOG_FLOOR = 1e-12
+
+
+def _expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x). Below x = -709, e^-x overflows
+    to inf, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(np.negative(x)))
+
+
+def _logsumexp(a):
+    """log sum_k e^(a_k) of each row of a finite (n, K) array, as (n, 1).
+
+    The m entries tied at the row max are taken out of the sum: the result
+    is log1p(s) + log(m) + max, where s is the sum of e^(a - max) over the
+    other entries, divided by m.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=1, keepdims=True, dtype=float)
+    rest = np.exp(a - a_max)
+    rest[tied] = 0.0
+    return np.log1p(rest.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
 
 
 class UnsupportedLossError(ValueError):
@@ -39,16 +58,12 @@ class SigmoidLoss:
 
     @staticmethod
     def value(z):
-        from scipy.special import expit
-
-        return expit(np.negative(z))
+        return _expit(np.negative(z))
 
     @staticmethod
     def derivative(z):
-        from scipy.special import expit
-
         # psi'(z) = -sigma(z) sigma(-z), bounded in [-1/4, 0)
-        return -expit(z) * expit(np.negative(z))
+        return -_expit(z) * _expit(np.negative(z))
 
 
 class RampLoss:
@@ -179,9 +194,7 @@ def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
     alpha, beta = _per_row(cfg, g.shape[0])
     grad = None
     if isinstance(cfg.psi, CrossEntropyMode):
-        from scipy.special import logsumexp
-
-        log_p = g - logsumexp(g, axis=1, keepdims=True)
+        log_p = g - _logsumexp(g)
         pos = -log_p
         p = np.exp(log_p)
         rest = np.maximum(1.0 - p, _LOG_FLOOR)

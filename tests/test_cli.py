@@ -418,6 +418,26 @@ def test_eval_round_trip(tmp_path, capsys):
     assert counts.sum() == 80
 
 
+def test_eval_confusion_rows_are_true_labels(tmp_path, capsys):
+    # An identity layer predicts each row's largest feature. This confusion
+    # matrix differs from its transpose, so it pins rows as true labels.
+    checkpoint = tmp_path / "identity.bin"
+    save_checkpoint(NetworkParams([Layer(W=np.eye(3), b=np.zeros(3),
+                                         activation="identity")]), checkpoint)
+    onehot = ["1,0,0", "0,1,0", "0,0,1"]
+    pairs = [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 2), (2, 2)]  # (true, predicted)
+    csv_path = tmp_path / "labeled.csv"
+    csv_path.write_text("f0,f1,f2,candidates,true_label\n" + "".join(
+        f"{onehot[pred]},{true},{true}\n" for true, pred in pairs))
+    confusion = tmp_path / "confusion.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--confusion", str(confusion)]) == 0
+    assert capsys.readouterr().out.startswith(f"accuracy={4 / 7!r} n=7\n")
+    assert confusion.read_text() == (
+        "true_label,pred_0,pred_1,pred_2\n0,1,2,0\n1,0,0,1\n2,0,0,3\n"
+    )
+
+
 def test_eval_architecture_mismatch(tmp_path):
     cfg_path = write_config(
         tmp_path,
@@ -768,6 +788,14 @@ def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
+    try:  # the float64 exp and log loops NumPy runs in this process
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # NumPy < 2.0
+        dispatch = None
+    else:
+        loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        dispatch = {"exp": loops["exp"]["dd"]["current"], "log": loops["log"]["dd"]["current"]}
     cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
     for command in (["generate"], ["train"], ["sweep", "--beta", "0"]):
         out = tmp_path / command[0]
@@ -776,6 +804,8 @@ def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
         env = json.loads((run_dir / "manifest.json").read_text())["environment"]
         assert env.pop("OPENBLAS_NUM_THREADS") == "3" and env.pop("OMP_NUM_THREADS") is None
         assert env.pop("OPENBLAS_CORETYPE") == "Haswell"
+        assert env.pop("NPY_DISABLE_CPU_FEATURES") == "AVX512_SPR"
+        assert env.pop("numpy_dispatch") == dispatch
         assert env.pop("python") == platform.python_version()
         assert env.pop("numpy") == np.__version__
         assert env.pop("cpu_count") == os.cpu_count()

@@ -2,20 +2,24 @@
 
 One tiny gaussian config (K=3, d=4, 96 + 24 rows, 2 epochs, seeds 0 and 1)
 is run through the CLI, and every corpus, metrics, checkpoint and summary
-file is compared with a SHA-256 recorded with NumPy 2.4.6 and SciPy 1.17.1
-(the versions CI pins). Identity across code versions, not just across two
-invocations of one version, is what lets a refactor or a speedup show that
-it kept the output bytes. A digest may only change in a change that says
-why the bytes moved.
+file is compared with a SHA-256 recorded with NumPy 2.4.6 (the version CI
+pins). Identity across code versions, not just across two invocations of
+one version, is what lets a refactor or a speedup show that it kept the
+output bytes. A digest may only change in a change that says why the bytes
+moved.
 
-The bytes also depend on the BLAS kernel and thread count, so each command
-runs in a subprocess with both pinned (`PINNED_ENV`): scipy-openblas's
-Haswell kernel, which every x86-64 CPU with AVX2 can run, and 1 thread.
-Left to itself, OpenBLAS picks its kernel by CPU (SkylakeX with AVX512,
-Haswell or Zen with AVX2 only), and four of the train digests differ
-between those. The d = 784 digests guard the thread count too: at that
-width the linear model's first-layer product differs between 1 and 2
-threads.
+The bytes also depend on NumPy's SIMD dispatch and on the BLAS kernel and
+thread count, so each command runs in a subprocess with all three pinned
+(`PINNED_ENV`). NumPy 2.4's AVX512 loops (its X86_V4 target and above) for
+float64 `exp` and `log` differ in the last bit of some values from its
+X86_V3 (AVX2) loops, whose results are libm's; `NPY_DISABLE_CPU_FEATURES`
+turns off every target above X86_V3 that this host has, and is left unset
+where there is none. OpenBLAS is held to scipy-openblas's Haswell kernel,
+which every x86-64 CPU with AVX2 can run, and 1 thread. Left to itself,
+OpenBLAS picks its kernel by CPU (SkylakeX with AVX512, Haswell or Zen with
+AVX2 only), and four of the train digests differ between those. The
+d = 784 digests guard the thread count too: at that width the linear
+model's first-layer product differs between 1 and 2 threads.
 """
 
 import hashlib
@@ -29,12 +33,29 @@ import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def numpy_dispatch_pin() -> str:
+    """NumPy's active dispatch targets above X86_V3, space-separated, or ""
+    when it has none (or names no X86_V3 target)."""
+    try:
+        found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (KeyError, TypeError):
+        return ""
+    return " ".join(found[found.index("X86_V3") + 1:]) if "X86_V3" in found else ""
+
+
+_ABOVE_X86_V3 = numpy_dispatch_pin()
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
-              "OMP_NUM_THREADS": "1"}
+              "OMP_NUM_THREADS": "1",
+              **({"NPY_DISABLE_CPU_FEATURES": _ABOVE_X86_V3} if _ABOVE_X86_V3 else {})}
+
+# Prints the dispatch a manifest records, run under PINNED_ENV.
+DISPATCH_PROBE = "from lwpll.cli import _environment; print(_environment()['numpy_dispatch'])"
 
 
 def _unpinnable() -> str | None:
-    """Why this NumPy cannot run the pinned kernel, or None if it can."""
+    """Why this NumPy cannot run the pinned kernel and loops, or None if it can."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return f"the digests pin an x86-64 OpenBLAS kernel; this machine is {platform.machine()}"
     try:
@@ -43,6 +64,15 @@ def _unpinnable() -> str | None:
         blas = None
     if blas != "scipy-openblas":
         return f"the digests were recorded with scipy-openblas; NumPy here uses {blas}"
+    probe = subprocess.run(
+        [sys.executable, "-W", "error", "-c", DISPATCH_PROBE],
+        env={**os.environ, **PINNED_ENV, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True,
+    )
+    pinned = str({"exp": "X86_V3", "log": "X86_V3"})
+    if (probe.returncode, probe.stdout.strip()) != (0, pinned):
+        return (f"the digests were recorded with NumPy's X86_V3 loops for float64 exp "
+                f"and log; under the pin this NumPy runs {probe.stdout.strip() or probe.stderr}")
     return None
 
 
@@ -68,6 +98,7 @@ TRAIN_VARIANTS = {
     "cross_entropy": {"loss.psi": "cross_entropy"},
     "ramp": {"loss.psi": "ramp"},
     "per_batch_weights": {"trainer.per_batch_weight_update": "true"},
+    "weight_decay": {"trainer.weight_decay": "0.01"},
 }
 
 GOLDEN = {
@@ -76,9 +107,9 @@ GOLDEN = {
         "test.csv": "ebc82c215da37f3f1a0258bada79fef4705cebc45142edbbf570f88dc2ac1ca9",
     },
     "train_cross_entropy": {
-        "checkpoint_seed0.bin": "81a1ceb5588ace4ff30f0030434ee04baab62e61b675fdd34cc9be50150fc4f4",
-        "checkpoint_seed1.bin": "0c36867da0583281d57d83c974387ddf78c1ba59e0fb4a8ea4028b9f6d28466a",
-        "metrics_seed0.csv": "a6fb1b025b295cba876035647b1d8d44db013d788a5fa461ea7769cc8756db70",
+        "checkpoint_seed0.bin": "1d53fa3f08a9a87ec230c4d4b3c749a688cba3c1ab293ad024080d3bb65fb4e0",
+        "checkpoint_seed1.bin": "1eab13951d7a290fae0eeb88b8650caef1078026fac8255578427040758d453b",
+        "metrics_seed0.csv": "54deff62b2a713064d0aa359300011a9bf2ce66433701ead7cb73af61fd4c9bc",
         "metrics_seed1.csv": "6d7e38dbbe90ce2c0df848964c380626e6e2b14003e1264557ac34c2c58298db",
     },
     "train_linear_sigmoid": {
@@ -88,14 +119,14 @@ GOLDEN = {
         "metrics_seed1.csv": "9d242e4a3b5f730dbd87f2a682b767ad2bfdce20603904202773e7ffd1a0d7ab",
     },
     "train_mlp_hidden8": {
-        "checkpoint_seed0.bin": "7ae39dce7e52f874ef3e7e566cbac2fd62f2fd1e4be603bd598d93b2aa20cc5a",
-        "checkpoint_seed1.bin": "78c1eb2aefbe85e48cce37f5c46244c3229ad01673916eb049e867cfa4c3e497",
+        "checkpoint_seed0.bin": "2e725a9b121b5b5a7eb0c2a7ab02b44d738e70a8fcb4fb8c05253a52ae56e717",
+        "checkpoint_seed1.bin": "4b2f6241357a41e6282a4947d5e2c5e9a813854dc4be130dcfa879ae87fa3c7b",
         "metrics_seed0.csv": "8d294352dc5618e30d41a314a8418da5ba9fdf3c463ea138db15904029b970e0",
         "metrics_seed1.csv": "037a7f5bae88947ca60d6479cb60cf46305d66c8468611402e5d49e82e3f3092",
     },
     "train_per_batch_weights": {
         "checkpoint_seed0.bin": "228ff2630be3ba817ecfce436c63b27a52dfafaafed05bcc2f9fe13178f6c4e6",
-        "checkpoint_seed1.bin": "25f1da076a73d2de446b7e380d12fb8b11ba21f7f7bc152813eb6fb74d3d66e2",
+        "checkpoint_seed1.bin": "974f54d281125f0b83fe5ab946475b0c4f501f524bc9e57f71a1f51c522d3d44",
         "metrics_seed0.csv": "1bb2e813349608d984ba8469225a6e5c580b00f78bf57ca8788497d3f15d55bd",
         "metrics_seed1.csv": "44e9cd1fcea60ff2e156078f8ed83b98f78881926126445d02c52ce7fd97be03",
     },
@@ -104,6 +135,12 @@ GOLDEN = {
         "checkpoint_seed1.bin": "69050f271029f18d6eb23abba4b661451735a99826f23077a0e456141892db33",
         "metrics_seed0.csv": "dcc04b3af20e753ab3aa11cc7d0b275d36191215832eee6f02fbc55a821457b4",
         "metrics_seed1.csv": "8471e386cea22649945214029461bc060fd9571f376bdbe58e6e918887ac5f77",
+    },
+    "train_weight_decay": {
+        "checkpoint_seed0.bin": "bd8cfbeafa438cc21ecdaf4e79675cbd2afd3d4cc123ce42cc5eabd0e4c264eb",
+        "checkpoint_seed1.bin": "1185a529d2e5fd5867627e4666cb923c4f625b02212e4d18b0963e265f2e9f9a",
+        "metrics_seed0.csv": "3c36846334e63a83b6d24c9ff443f4a67f1b3d0f8ccf8bad69af7feeddb2835c",
+        "metrics_seed1.csv": "8f7d543745284156eb00c21a8266535efde6b234e667fa79cae7fe2e6251b403",
     },
     "sweep_summary": "9497aaac271d092b0ffe8c49292e13fffc898abb8fcfa461a4197e67d6320fae",
 }
@@ -124,11 +161,11 @@ D784_VARIANTS = {"linear": {}, "mlp": {"model.arch": "mlp"}}
 
 D784_GOLDEN = {
     "linear": {
-        "checkpoint_seed0.bin": "e04d55898bc600a9b84c529b685e6d74f2d3c2e7275f1bbe43cce91ea0061754",
+        "checkpoint_seed0.bin": "347aedd4691b4cf02e20465e1d73bf17414554886f598becef394b9c2b207a23",
         "metrics_seed0.csv": "612d05a99de574adae247b7720fcbe3cbe65223ac64013e1243657a62d3ebf8b",
     },
     "mlp": {
-        "checkpoint_seed0.bin": "90aecf7be13fbd128a7382a93fe698cff53f1ca18a87d765621e05401d0ea13d",
+        "checkpoint_seed0.bin": "ad47d7bb915186dcc02a3d160d14299099b1f6af172e01e2f043348d020ef3f9",
         "metrics_seed0.csv": "84c394a47c413dde275026127e3685a33fd6346f0cff48a0d9ccde386eec46e1",
     },
 }

@@ -1,8 +1,17 @@
-"""Binary losses, the weighted partial loss, and its gradients."""
+"""Binary losses, the weighted partial loss, and its gradients.
+
+SciPy is the reference for the NumPy sigmoid and log-sum-exp the losses use.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from test_golden import PINNED_ENV, UNPINNABLE
 
 from lwpll import (
     CROSS_ENTROPY,
@@ -22,8 +31,12 @@ from lwpll.losses import (
     BINARY_LOSSES,
     MAX_CANDIDATE_PLUS_NEGATIVES,
     MIN_OVER_CANDIDATES,
+    _expit,
+    _logsumexp,
     get_loss,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def random_instance(rng, k, psi=SIGMOID, keep_away_from_kinks=False):
@@ -47,6 +60,50 @@ def test_sigmoid_values():
     assert SIGMOID.value(0.0) == 0.5
     assert abs(SIGMOID.value(1.0) - 0.26894142136999512) < 1e-16
     assert SIGMOID.derivative(0.0) == -0.25
+
+
+def test_expit_saturates_exactly_without_warnings():
+    # pyproject.toml turns numpy's overflow RuntimeWarning into an error.
+    z = np.array([800.0, -800.0, np.inf, -np.inf])
+    assert _expit(z).tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert (_expit(-800.0), _expit(800.0)) == (0.0, 1.0)
+    assert SIGMOID.value(z).tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert SIGMOID.derivative(z).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+# Every float64 exp under NumPy's X86_V3 loops is libm's, as in SciPy's expit.
+EXPIT_PROBE = """
+import numpy as np
+from scipy.special import expit
+from lwpll.losses import _expit
+x = np.random.default_rng(5).normal(0.0, 20.0, 300_000)
+x = np.concatenate([x, [0.0, -0.0, 36.7, -36.7, 709.0, -709.0, 710.0, -710.0, 745.2, -745.2]])
+print(_expit(x).tobytes() == expit(x).tobytes())
+"""
+
+
+@pytest.mark.skipif(UNPINNABLE is not None, reason=str(UNPINNABLE))
+def test_expit_equals_scipy_bytewise_under_the_pinned_dispatch():
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", EXPIT_PROBE],
+        env={**os.environ, **PINNED_ENV, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_logsumexp_equals_scipy_bytewise_with_tied_maxima():
+    # SciPy's logsumexp runs NumPy's exp and log, so this holds under any dispatch.
+    rng = make_rng(29)
+    for k in (2, 3, 10, 64):
+        for scale in (1e-3, 3.0, 300.0):
+            a = rng.normal(0.0, scale, size=(3000, k))
+            a[::3, 0] = a[::3, 1] = a[::3].max(axis=1)  # two or more tied maxima
+            a[1::3] = np.round(a[1::3])  # integer scores: ties anywhere
+            a[2::9] = a[2::9, :1]  # every entry tied
+            assert ((a == a.max(axis=1, keepdims=True)).sum(axis=1) == k).any()
+            ref = logsumexp(a, axis=1, keepdims=True)
+            assert _logsumexp(a).tobytes() == ref.tobytes()
 
 
 def test_ramp_values():

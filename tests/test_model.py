@@ -1,5 +1,6 @@
 """Score networks, the trainer, and checkpoint serialization."""
 
+import copy
 import dataclasses
 import pickle
 import tempfile
@@ -264,6 +265,30 @@ def test_train_small_lr_moves_params_proportionally():
     ]
     biggest = max(deltas)
     assert 0.0 < biggest <= 10.0 * lr
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_weight_decay_shrinks_weight_matrices_never_biases(monkeypatch, arch):
+    # One epoch of one batch is one step from the start, momentum aside: decay
+    # adds lr * decay * W to each weight matrix's step and nothing to a bias's.
+    # The start's biases are made nonzero, so that decay on them would show.
+    widths = network_widths(arch, 2, 3, hidden=4)
+    start = init_network(widths, make_rng(1, stream=1))
+    for layer in start.layers:
+        layer.b = np.linspace(-0.5, 0.5, layer.b.size)
+    monkeypatch.setattr(lwpll.model, "init_network", lambda widths, rng: copy.deepcopy(start))
+    ds = toy_dataset(n=64, seed=3)
+    lr, decay = 0.1, 0.5
+    stepped = {}
+    for wd in (0.0, decay):
+        tcfg = TrainerConfig(learning_rate=lr, epochs=1, batch_size=64, seed=1,
+                             val_fraction=0.0, weight_decay=wd)
+        stepped[wd] = train(ds, LWConfig(beta=1.0, psi=SIGMOID), tcfg, arch=arch, hidden=4)
+    for plain, decayed, first in zip(stepped[0.0].params.layers,
+                                     stepped[decay].params.layers, start.layers):
+        assert np.array_equal(decayed.b, plain.b)
+        np.testing.assert_allclose(decayed.W - plain.W, -lr * decay * first.W,
+                                   rtol=1e-9, atol=1e-15)
 
 
 def test_train_risk_decreases_early():
