@@ -62,7 +62,7 @@ from .model import (
     train,
 )
 from .rng import make_rng
-from .weights import WeightState, init_weights, partition_sums, update_weights
+from .weights import init_weights, partition_sums, update_weights
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "TrainerConfig",
     "TrainingDiverged",
     "UnsupportedLossError",
-    "WeightState",
     "ZERO_ONE_STEP",
     "accuracy",
     "backward",

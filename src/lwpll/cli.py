@@ -609,13 +609,7 @@ def cmd_sweep(
     return _train_variants(cfg, "sweep", variants, manifest_body, {"sweep": sweep_key})
 
 
-def cmd_verify(
-    k_values=(2, 3, 4, 5, 6, 7, 8),
-    trials: int = 1000,
-    seed: int = 0,
-    inject_beta_error: bool = False,
-    quiet: bool = False,
-) -> int:
+def cmd_verify(k_values, trials: int, seed: int, inject_beta_error: bool, quiet: bool) -> int:
     """Run the full certification suite; exit 0 only if everything holds.
 
     Arguments are checked before any check runs: --k-list must name at
@@ -634,8 +628,6 @@ def cmd_verify(
     _flag("--seed", seed, _SCHEMA["generation.seed"][2])
     if trials == 0:
         print("warning: trials=0, certification is vacuous", file=sys.stderr)
-        print(json.dumps({"pass": True, "max_discrepancy": 0.0, "instances": 0}))
-        return 0
     mutated = None
     if inject_beta_error:
         from .losses import derived_supervised_loss
@@ -644,7 +636,7 @@ def cmd_verify(
             wrong = LWConfig(beta=cfg.beta + 0.1, alpha=cfg.alpha, psi=cfg.psi)
             return derived_supervised_loss(y, g, w, q_row, wrong)
 
-    checks = [
+    checks = [] if trials == 0 else [
         (
             "risk_equivalence",
             consistency.certify_risk_equivalence(
@@ -655,7 +647,7 @@ def cmd_verify(
         ),
         (
             "subset_normalization",
-            consistency.certify_subset_normalization(models=100, seed=seed),
+            consistency.certify_subset_normalization(seed=seed),
             LEMMA1_TOL,
         ),
         (
@@ -665,7 +657,7 @@ def cmd_verify(
         ),
         (
             "coefficient_ordering",
-            consistency.certify_coefficient_ordering(instances=10**4, seed=seed),
+            consistency.certify_coefficient_ordering(seed=seed),
             1.0,
         ),
     ]

@@ -244,8 +244,6 @@ def supervised_risk_direct(
 def lemma1_check(model: GenerationModel, true_label: int) -> ConsistencyReport:
     """How far the set probabilities for one true label are from summing to 1."""
     k = model.num_classes
-    if k > MAX_ENUMERATION_CLASSES:
-        raise ValueError(f"enumeration capped at {MAX_ENUMERATION_CLASSES} classes")
     y = int(true_label)
     subsets = enumerate_subsets(k, containing=y)
     total = math.fsum(model.subset_probabilities(y, subsets).tolist())

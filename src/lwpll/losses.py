@@ -230,12 +230,6 @@ MIN_OVER_CANDIDATES = "min_over_candidates"
 AVERAGE_OVER_CANDIDATES = "average_over_candidates"
 MAX_CANDIDATE_PLUS_NEGATIVES = "max_candidate_plus_negatives"
 
-SPECIAL_CASE_KINDS = (
-    MIN_OVER_CANDIDATES,
-    AVERAGE_OVER_CANDIDATES,
-    MAX_CANDIDATE_PLUS_NEGATIVES,
-)
-
 
 def special_case_loss(kind: str, scores, candidates, psi: BinaryLoss) -> float:
     """Historical candidate-set losses recovered as settings of the family.

@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, split_indices, take
 from .losses import LWConfig, lw_loss_gradient_batch
 from .rng import make_rng
-from .weights import WeightState, init_weights, update_weights
+from .weights import init_weights, update_weights
 
 _CHECKPOINT_MAGIC = b"LWNN"
 _CHECKPOINT_VERSION = 1
@@ -47,10 +47,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(
             f"non-finite loss or scores at epoch {epoch}, batch {batch}, lr {lr:g}"
         )
-
-    def __reduce__(self):
-        # Rebuild from the fields, so the error crosses a process boundary.
-        return type(self), (self.epoch, self.batch, self.lr)
 
 
 def _finite(values, epoch: int, batch: int, lr: float):
@@ -240,7 +236,7 @@ class EpochMetrics:
 class TrainResult:
     params: NetworkParams
     metrics: list[EpochMetrics]
-    weight_state: WeightState
+    weights: np.ndarray
     first_batch_indices: np.ndarray
     train_indices: np.ndarray
     val_indices: np.ndarray
@@ -265,11 +261,13 @@ def train(
     from the updated scores; `tcfg.per_batch_weight_update` moves that
     refresh inside the batch loop, touching only the visited rows. Accuracy
     columns are NaN when true labels are absent (or, for validation, when
-    the split is empty).
+    the split is empty). After each epoch, `epoch_callback(row, params,
+    weights, masks)` gets the epoch's `EpochMetrics` row, the live network,
+    the training split's (n, K) weights and its candidate masks.
 
     Raises TrainingDiverged the moment a batch loss or any scores are
     non-finite, including the scores a weight refresh reads after the last
-    step of an epoch.
+    step of an epoch and the validation split's scores.
     """
     if dataset.partial_masks is None:
         raise ValueError("training needs candidate masks")
@@ -283,7 +281,7 @@ def train(
         raise ValueError("empty training split")
     features, _ = _feature_batch(params, train_ds.features)
 
-    state = init_weights(train_ds.partial_masks)
+    weights = init_weights(train_ds.partial_masks)
     velocity = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in params.layers]
     shuffle_rng = make_rng(tcfg.seed, _STREAM_SHUFFLE)
     metrics: list[EpochMetrics] = []
@@ -302,10 +300,9 @@ def train(
                 rows = order[start : start + tcfg.batch_size]
                 x = features[rows]
                 masks = train_ds.partial_masks[rows]
-                w = state.w[rows]
                 acts = _forward_cached(params, x)
                 scores = _finite(acts[-1], epoch, batch_no, lr)
-                losses, grad = lw_loss_gradient_batch(scores, masks, w, lw)
+                losses, grad = lw_loss_gradient_batch(scores, masks, weights[rows], lw)
                 loss_sum += _finite(float(losses.sum()), epoch, batch_no, lr)
                 grads = _backprop(params, acts, grad / rows.shape[0])
                 for layer, (vw, vb), (gw, gb) in zip(params.layers, velocity, grads):
@@ -317,17 +314,17 @@ def train(
                     layer.b -= lr * vb
                 if tcfg.per_batch_weight_update:
                     refreshed = _finite(forward(params, x), epoch, batch_no, lr)
-                    state.w[rows] = update_weights(masks, refreshed).w
+                    weights[rows] = update_weights(masks, refreshed)
 
             train_scores = _finite(forward(params, features), epoch, batch_no, lr)
             if not tcfg.per_batch_weight_update:
-                state = update_weights(state.masks, train_scores)
-            train_acc = float("nan")
+                weights = update_weights(train_ds.partial_masks, train_scores)
+            train_acc = val_acc = float("nan")
             if train_ds.true_labels is not None:
                 train_acc = float(np.mean(np.argmax(train_scores, axis=1) == train_ds.true_labels))
-            val_acc = float("nan")
             if len(val_ds) > 0 and val_ds.true_labels is not None:
-                val_acc = accuracy(params, val_ds)
+                val_scores = _finite(forward(params, val_ds.features), epoch, batch_no, lr)
+                val_acc = float(np.mean(np.argmax(val_scores, axis=1) == val_ds.true_labels))
             row = EpochMetrics(
                 epoch=epoch,
                 lr=lr,
@@ -337,12 +334,12 @@ def train(
             )
             metrics.append(row)
             if epoch_callback is not None:
-                epoch_callback(row, params, state)
+                epoch_callback(row, params, weights, train_ds.partial_masks)
 
     return TrainResult(
         params=params,
         metrics=metrics,
-        weight_state=state,
+        weights=weights,
         first_batch_indices=first_batch,
         train_indices=train_idx,
         val_indices=val_idx,

@@ -5,33 +5,16 @@ w[i] that sums to 1 over S_i and to 1 over its complement (the complement
 side is all zeros when S_i covers every class). One formula sets w: a
 softmax of the current scores restricted to each side, so better-scoring
 labels accumulate weight without any gradient flowing through w. The start
-weights are its value at equal scores, uniform within each side.
+weights are its value at equal scores, uniform within each side. The
+weights are a plain (n, K) float array; the caller keeps the masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WeightState:
-    """Weights w (n, K) paired with the candidate masks (n, K) they refer to."""
-
-    w: np.ndarray
-    masks: np.ndarray
-
-    def __post_init__(self):
-        if self.w.shape != self.masks.shape or self.w.ndim != 2:
-            raise ValueError(
-                f"shape mismatch: w {self.w.shape}, masks {self.masks.shape}"
-            )
-        if (self.w < 0.0).any():
-            raise ValueError("weights must be nonnegative")
-
-
-def init_weights(masks) -> WeightState:
+def init_weights(masks) -> np.ndarray:
     """Start weights: the refresh at equal scores, uniform within each side."""
     return update_weights(masks, np.zeros(np.shape(masks)))
 
@@ -47,9 +30,9 @@ def _side_softmax(scores: np.ndarray, side: np.ndarray) -> np.ndarray:
     return np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
 
 
-def update_weights(masks, scores) -> WeightState:
-    """Weights from scores: a softmax within each side of the candidate masks,
-    which must be 2-D with every set nonempty; the scores must be finite."""
+def update_weights(masks, scores) -> np.ndarray:
+    """Weights (n, K) from scores: a softmax within each side of the candidate
+    masks, which must be 2-D with every set nonempty; the scores must be finite."""
     m = np.asarray(masks, dtype=bool)
     if m.ndim != 2:
         raise ValueError("masks must be a 2-D boolean array")
@@ -60,11 +43,11 @@ def update_weights(masks, scores) -> WeightState:
         raise ValueError(f"scores shape {g.shape} does not match masks {m.shape}")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
-    return WeightState(w=_side_softmax(g, m) + _side_softmax(g, ~m), masks=m)
+    return _side_softmax(g, m) + _side_softmax(g, ~m)
 
 
-def partition_sums(state: WeightState) -> tuple[np.ndarray, np.ndarray]:
+def partition_sums(weights, masks) -> tuple[np.ndarray, np.ndarray]:
     """Per-instance weight totals (candidate side, complement side)."""
-    inside = np.where(state.masks, state.w, 0.0).sum(axis=1)
-    outside = np.where(state.masks, 0.0, state.w).sum(axis=1)
+    inside = np.where(masks, weights, 0.0).sum(axis=1)
+    outside = np.where(masks, 0.0, weights).sum(axis=1)
     return inside, outside

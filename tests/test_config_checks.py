@@ -8,12 +8,13 @@ or run directory behind.
 """
 
 import dataclasses
+import inspect
 import os
 import re
 
 import pytest
 
-from lwpll import TrainerConfig
+from lwpll import LWConfig, TrainerConfig, train
 from lwpll.cli import _SCHEMA, ConfigError, ExperimentConfig, main
 
 BASE = {"gaussian.n": "60", "gaussian.test_n": "20", "trainer.epochs": "1", "seeds": "0,1"}
@@ -102,7 +103,17 @@ def test_override_runs_the_check_pass():
 
 
 def test_trainer_keys_are_the_trainer_config_fields():
-    # The CLI passes every trainer.* key to TrainerConfig by name.
+    # The CLI passes every trainer.* key to TrainerConfig by name, and its
+    # defaults are the library's wherever the library has one.
     keys = {key.removeprefix("trainer.") for key in _SCHEMA if key.startswith("trainer.")}
-    fields = {field.name for field in dataclasses.fields(TrainerConfig)}
-    assert keys == fields - {"seed"}
+    fields = {field.name: field for field in dataclasses.fields(TrainerConfig)}
+    assert keys == set(fields) - {"seed"}
+    for key in keys:
+        if fields[key].default is not dataclasses.MISSING:
+            assert _SCHEMA[f"trainer.{key}"][1] == fields[key].default, key
+    lw = LWConfig(beta=_SCHEMA["loss.beta"][1])
+    assert _SCHEMA["loss.alpha"][1] == lw.alpha
+    assert _SCHEMA["loss.psi"][1] == lw.psi.name
+    train_defaults = inspect.signature(train).parameters
+    for key in ("arch", "hidden"):
+        assert _SCHEMA[f"model.{key}"][1] == train_defaults[key].default, key

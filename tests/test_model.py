@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import pickle
 import tempfile
 
 import numpy as np
@@ -326,9 +325,9 @@ def test_train_weight_partitions_stay_normalized():
     ds = toy_dataset(n=150, seed=8, q=0.4)
     seen = []
 
-    def snoop(row, params, state):
-        inside, outside = partition_sums(state)
-        seen.append((inside.copy(), outside.copy(), state.masks.all(axis=1)))
+    def snoop(row, params, weights, masks):
+        inside, outside = partition_sums(weights, masks)
+        seen.append((inside.copy(), outside.copy(), masks.all(axis=1)))
 
     train(
         ds,
@@ -349,7 +348,7 @@ def test_train_per_batch_weight_update_runs():
     per_batch = dataclasses.replace(tcfg, per_batch_weight_update=True)
     a = train(ds, lw, per_batch)
     b = train(ds, lw, tcfg)
-    assert np.isfinite(a.weight_state.w).all()
+    assert np.isfinite(a.weights).all()
     # the cadence genuinely changes the trajectory
     assert any(
         not np.array_equal(la.W, lb.W)
@@ -580,9 +579,19 @@ def test_train_divergence_after_the_last_step_raises_with_location(per_batch):
             )
     err = info.value
     assert (err.epoch, err.batch, err.lr) == (1, 1, 0.5)
-    copy = pickle.loads(pickle.dumps(err))
-    assert type(copy) is TrainingDiverged
-    assert (copy.epoch, copy.batch, copy.lr, str(copy)) == (1, 1, 0.5, str(err))
+
+
+def test_train_divergence_in_the_validation_scores_raises():
+    # The first validation row scores inf, though no training row does.
+    ds = toy_dataset()
+    lw = LWConfig(beta=1.0, psi=SIGMOID)
+    tcfg = TrainerConfig(learning_rate=0.05, epochs=2, batch_size=16, seed=0)
+    features = ds.features.copy()
+    features[train(ds, lw, tcfg).val_indices[0]] = [1e308, -1e308]
+    with pytest.raises(TrainingDiverged) as info:
+        train(dataclasses.replace(ds, features=features), lw, tcfg)
+    err = info.value
+    assert (err.epoch, err.batch, err.lr) == (1, 4, 0.05)
 
 
 @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lwpll import WeightState, init_weights, make_rng, partition_sums, update_weights
+from lwpll import init_weights, make_rng, partition_sums, update_weights
 
 
 def random_masks(rng, n, k, allow_full=True):
@@ -22,19 +22,18 @@ def random_masks(rng, n, k, allow_full=True):
 def test_init_values():
     masks = np.zeros((1, 10), dtype=bool)
     masks[0, [2, 5, 7]] = True
-    state = init_weights(masks)
-    assert np.allclose(state.w[0, masks[0]], 1.0 / 3.0, rtol=0.0, atol=0.0)
-    assert np.allclose(state.w[0, ~masks[0]], 1.0 / 7.0, rtol=0.0, atol=1e-16)
+    w = init_weights(masks)
+    assert np.allclose(w[0, masks[0]], 1.0 / 3.0, rtol=0.0, atol=0.0)
+    assert np.allclose(w[0, ~masks[0]], 1.0 / 7.0, rtol=0.0, atol=1e-16)
 
 
 def test_init_singleton_two_classes():
-    state = init_weights(np.array([[True, False]]))
-    assert np.array_equal(state.w, [[1.0, 1.0]])
+    assert np.array_equal(init_weights(np.array([[True, False]])), [[1.0, 1.0]])
 
 
 def test_init_full_set_zeroes_complement():
-    state = init_weights(np.ones((1, 4), dtype=bool))
-    assert np.array_equal(state.w, [[0.25, 0.25, 0.25, 0.25]])
+    w = init_weights(np.ones((1, 4), dtype=bool))
+    assert np.array_equal(w, [[0.25, 0.25, 0.25, 0.25]])
 
 
 def test_init_rejects_empty_sets():
@@ -44,48 +43,43 @@ def test_init_rejects_empty_sets():
 
 def test_update_equal_scores():
     masks = np.array([[True, True, False]])
-    state = init_weights(masks)
-    new = update_weights(state.masks, np.zeros((1, 3)))
-    assert np.allclose(new.w, [[0.5, 0.5, 1.0]], rtol=0.0, atol=1e-16)
+    new = update_weights(masks, np.zeros((1, 3)))
+    assert np.allclose(new, [[0.5, 0.5, 1.0]], rtol=0.0, atol=1e-16)
 
 
 def test_update_restricted_softmax_values():
     masks = np.array([[True, True, False]])
-    state = init_weights(masks)
-    new = update_weights(state.masks, np.array([[1.0, 0.0, -1.0]]))
-    assert abs(new.w[0, 0] - 0.7310585786300049) < 1e-15
-    assert abs(new.w[0, 1] - 0.2689414213699951) < 1e-15
-    assert new.w[0, 2] == 1.0
+    new = update_weights(masks, np.array([[1.0, 0.0, -1.0]]))
+    assert abs(new[0, 0] - 0.7310585786300049) < 1e-15
+    assert abs(new[0, 1] - 0.2689414213699951) < 1e-15
+    assert new[0, 2] == 1.0
 
 
 def test_update_shift_invariance():
     rng = make_rng(61)
     masks = random_masks(rng, 50, 6)
-    state = init_weights(masks)
     g = rng.normal(0.0, 3.0, size=(50, 6))
-    base = update_weights(state.masks, g)
+    base = update_weights(masks, g)
     for c in (0.5, -7.3, 40.0):
-        shifted = update_weights(state.masks, g + c)
-        assert np.abs(shifted.w - base.w).max() <= 1e-12
+        shifted = update_weights(masks, g + c)
+        assert np.abs(shifted - base).max() <= 1e-12
 
 
 def test_update_survives_huge_scores():
     masks = np.array([[True, False, True], [True, True, True]])
-    state = init_weights(masks)
     g = np.array([[1e4, -1e4, 9.9e3], [1e4, 1e4, -1e4]])
-    new = update_weights(state.masks, g)
-    assert np.isfinite(new.w).all()
-    inside, outside = partition_sums(new)
+    new = update_weights(masks, g)
+    assert np.isfinite(new).all()
+    inside, outside = partition_sums(new, masks)
     assert np.allclose(inside, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_partition_sums_after_update():
     rng = make_rng(67)
     masks = random_masks(rng, 200, 5)
-    state = init_weights(masks)
-    new = update_weights(state.masks, rng.normal(size=(200, 5)))
-    assert (new.w >= 0).all()
-    inside, outside = partition_sums(new)
+    new = update_weights(masks, rng.normal(size=(200, 5)))
+    assert (new >= 0).all()
+    inside, outside = partition_sums(new, masks)
     assert np.abs(inside - 1.0).max() <= 1e-12
     full = masks.all(axis=1)
     assert np.abs(outside[~full] - 1.0).max() <= 1e-12
@@ -108,46 +102,42 @@ def masks_and_scores(draw):
 def test_each_side_stays_a_distribution_property(case):
     masks, scores = case
     full = masks.all(axis=1)
-    initial = init_weights(masks)
-    for state in (initial, update_weights(initial.masks, scores)):
-        assert (state.w >= 0.0).all()
-        inside, outside = partition_sums(state)
+    for w in (init_weights(masks), update_weights(masks, scores)):
+        assert w.shape == masks.shape
+        assert (w >= 0.0).all()
+        inside, outside = partition_sums(w, masks)
         assert np.abs(inside - 1.0).max() <= 1e-12
         assert np.abs(outside[~full] - 1.0).max(initial=0.0) <= 1e-12
         assert (outside[full] == 0.0).all()
-        assert np.array_equal(state.masks, masks)
 
 
 def test_update_preserves_score_order():
     rng = make_rng(71)
     masks = random_masks(rng, 100, 6)
-    state = init_weights(masks)
     g = rng.normal(size=(100, 6))
-    new = update_weights(state.masks, g)
+    new = update_weights(masks, g)
     for i in range(100):
         for side in (masks[i], ~masks[i]):
             idx = np.where(side)[0]
             order = idx[np.argsort(g[i, idx])]
-            assert (np.diff(new.w[i, order]) >= 0).all()
+            assert (np.diff(new[i, order]) >= 0).all()
             strict = np.diff(g[i, order]) > 0
-            assert (np.diff(new.w[i, order])[strict] > 0).all()
+            assert (np.diff(new[i, order])[strict] > 0).all()
 
 
 def test_update_keeps_masks_and_shape():
     rng = make_rng(73)
     masks = random_masks(rng, 20, 4)
-    state = init_weights(masks)
-    new = update_weights(state.masks, rng.normal(size=(20, 4)))
-    assert new.w.shape == state.w.shape
-    assert new.masks is state.masks or np.array_equal(new.masks, state.masks)
+    before = masks.copy()
+    new = update_weights(masks, rng.normal(size=(20, 4)))
+    assert new.shape == init_weights(masks).shape == masks.shape
+    assert np.array_equal(masks, before)
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        WeightState(w=np.ones((2, 3)), masks=np.ones((3, 3), dtype=bool))
-    with pytest.raises(ValueError):
-        WeightState(w=-np.ones((1, 3)), masks=np.ones((1, 3), dtype=bool))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
+        update_weights(np.ones((3, 3), dtype=bool), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must be finite"):
         update_weights(np.array([[True, False]]), np.array([[np.nan, 0.0]]))
 
 
@@ -170,6 +160,5 @@ def test_start_weights_are_the_refresh_at_equal_scores_property(case):
     outside = masks.shape[1] - inside
     uniform = np.where(masks, 1.0 / inside, np.divide(
         1.0, outside, out=np.zeros(inside.shape), where=outside > 0))
-    for state in (init_weights(masks), update_weights(masks, np.zeros(masks.shape))):
-        assert state.w.tobytes() == uniform.tobytes()
-        assert np.array_equal(state.masks, masks)
+    for w in (init_weights(masks), update_weights(masks, np.zeros(masks.shape))):
+        assert w.tobytes() == uniform.tobytes()
