@@ -10,10 +10,21 @@ Formats:
   accepted on read, and blank lines are skipped. Floats are written as
   ``%.17g`` (17 significant digits) so a save/load round trip reproduces
   every value bit for bit. Errors in a record name ``path:line``, counting
-  physical lines from 1 at the header. The loader streams records into one
-  parse and keeps no file text, so it peaks at about the feature matrix
-  plus one record: a 10,000-row, d = 784 file of 158 MB loads with a
-  tracemalloc peak of 72 MB for its 63 MB matrix.
+  physical lines from 1 at the header. The parse streams records and keeps
+  no file text, so it peaks at about the feature matrix plus one record: a
+  10,000-row, d = 784 file of 158 MB parses with a tracemalloc peak of
+  72 MB for its 63 MB matrix.
+- Binary sidecar ``<csv path>.lwb``, which `save_partial_csv` writes beside
+  each CSV: b"LWPB", u32 version, u64 n, u64 d, u64 K, u8 has_label, the
+  SHA-256 of the CSV's bytes, the SHA-256 of the payload, then the payload:
+  features as float64 row-major, masks as u8 (n x K), and labels as int64
+  when has_label is 1; little-endian throughout. The loader uses it in place
+  of the parse only if (1) the header is well formed and the file's size is
+  the one it implies, checked before anything is allocated; (2) the payload,
+  read into its arrays, hashes to its digest, with every mask byte 0 or 1;
+  and (3) the CSV, read in 64 KiB blocks, hashes to its stamp. Otherwise the
+  CSV is parsed as if there were no sidecar, so deleting one only costs load
+  time.
 
 Class indices are zero-based everywhere, in files and in memory.
 """
@@ -21,7 +32,9 @@ Class indices are zero-based everywhere, in files and in memory.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -31,6 +44,13 @@ from .rng import make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# The binary sidecar of a partial-label CSV (see "Formats").
+_SIDECAR_SUFFIX = ".lwb"
+_SIDECAR_MAGIC = b"LWPB"
+_SIDECAR_VERSION = 1
+_SIDECAR_HEAD = struct.Struct("<4sIQQQB32s32s")
+_STAMP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,19 +174,28 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
 
     Feature values are formatted in blocks of at most ``MAX_BLOCK_VALUES``,
     and each block's records are written before the next block is formatted.
+    The bytes are hashed as they are written, and the binary sidecar
+    ``<path>.lwb`` (see "Formats") is written after the CSV.
     """
     if dataset.partial_masks is None:
         raise ValueError("dataset has no candidate masks to save")
     d = dataset.num_features
     if d == 0:
         raise ValueError("dataset has no feature columns to save")
+    has_label = dataset.true_labels is not None
     header = [f"f{j}" for j in range(d)] + ["candidates"]
-    if dataset.true_labels is not None:
+    if has_label:
         header.append("true_label")
     values = np.ascontiguousarray(dataset.features, dtype=np.float64).reshape(-1)
     tails = _record_tails(dataset)
+    stamp = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
+
+        def write(chunk):
+            fh.write(chunk)
+            stamp.update(chunk)
+
+        write((",".join(header) + "\r\n").encode())
         for start in range(0, values.size, MAX_BLOCK_VALUES):
             text, widths = _format_fields(values[start : start + MAX_BLOCK_VALUES])
             text = memoryview(text)
@@ -174,10 +203,29 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
             # by the block's end is finished by the next block.
             pos = 0
             for end in np.cumsum(widths)[d - 1 - start % d :: d].tolist():
-                fh.write(text[pos:end])
-                fh.write(next(tails))
+                write(text[pos:end])
+                write(next(tails))
                 pos = end
-            fh.write(text[pos:])
+            write(text[pos:])
+    masks = np.ascontiguousarray(dataset.partial_masks, dtype=bool)
+    arrays = [values.astype("<f8", copy=False), masks.view(np.uint8)]
+    if has_label:
+        arrays.append(np.ascontiguousarray(dataset.true_labels, dtype="<i8"))
+    payload = [_bytes_of(array) for array in arrays]
+    digest = hashlib.sha256()
+    for view in payload:
+        digest.update(view)
+    with open(f"{path}{_SIDECAR_SUFFIX}", "wb") as fh:
+        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, len(masks), d,
+                                    masks.shape[1], has_label, stamp.digest(),
+                                    digest.digest()))
+        for view in payload:
+            fh.write(view)
+
+
+def _bytes_of(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without a copy."""
+    return memoryview(array.reshape(-1).view(np.uint8))
 
 
 def _record_tails(dataset: Dataset):
@@ -375,15 +423,77 @@ def _parse_int(text: str, what: str, where: str) -> int:
 def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Read a partial-label CSV; class count is inferred unless given.
 
-    One streaming pass reads the file: each record is checked as it is read
-    (column count, candidates, label inside its set), and only its feature
-    cells go on, straight into a single ``np.loadtxt`` call. No record's text
-    outlives its parse, so the load peaks at about the feature matrix plus
-    one record. A record that fails its checks ends the stream; its error is
-    raised once the records before it have parsed. If the parse fails, or a
-    value is not finite, the file is read again row by row to name the first
-    bad line, so `path` must name a file that can be read twice.
+    The sidecar that `save_partial_csv` wrote beside the file stands in for
+    the parse when it passes its checks (see "Formats"); otherwise it is
+    ignored.
+
+    The parse reads the file in one streaming pass: each record is checked
+    as it is read (column count, candidates, label inside its set), and
+    only its feature cells go on, straight into a single ``np.loadtxt``
+    call. No record's text outlives its parse, so the load peaks at about
+    the feature matrix plus one record. A record that fails its checks ends
+    the stream; its error is raised once the records before it have parsed.
+    If the parse fails, or a value is not finite, the file is read again row
+    by row to name the first bad line, so `path` must name a file that can
+    be read twice.
     """
+    features, cand_rows, cand_cols, labels = _read_sidecar(path) or _parse_csv(path)
+    largest = int(np.max(cand_cols))
+    inferred = largest + 1
+    if num_classes is None:
+        num_classes = max(inferred, 2)
+    elif num_classes < inferred:
+        raise ValueError(
+            f"{path}: num_classes={num_classes} but saw class index {largest}"
+        )
+    masks = np.zeros((len(features), num_classes), dtype=bool)
+    masks[cand_rows, cand_cols] = True
+    return Dataset(
+        features=features,
+        num_classes=num_classes,
+        true_labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+        partial_masks=masks,
+    )
+
+
+def _read_sidecar(path: str):
+    """The features, (row, class) candidate pairs and labels (None without a
+    true-label column) in the sidecar of `path`, or None unless it passes
+    its checks. The payload is read only into the arrays it returns."""
+    try:
+        with open(f"{path}{_SIDECAR_SUFFIX}", "rb") as fh:
+            head = fh.read(_SIDECAR_HEAD.size)
+            if len(head) != _SIDECAR_HEAD.size:
+                return None
+            magic, version, n, d, k, has_label, stamp, digest = _SIDECAR_HEAD.unpack(head)
+            size = len(head) + n * (8 * d + k + 8 * has_label)
+            if ((magic, version) != (_SIDECAR_MAGIC, _SIDECAR_VERSION) or has_label > 1
+                    or not n or os.fstat(fh.fileno()).st_size != size):
+                return None
+            features = np.empty((n, d), dtype="<f8")
+            masks = np.empty((n, k), dtype=np.uint8)
+            labels = np.empty(n * has_label, dtype="<i8")
+            check = hashlib.sha256()
+            for array in (features, masks, labels):
+                view = _bytes_of(array)
+                if fh.readinto(view) != len(view):
+                    return None
+                check.update(view)
+        if check.digest() != digest or (masks > 1).any():
+            return None
+        check, block = hashlib.sha256(), bytearray(_STAMP_BLOCK)
+        with open(path, "rb") as fh:
+            while count := fh.readinto(block):
+                check.update(memoryview(block)[:count])
+        if check.digest() != stamp:
+            return None
+    except OSError:
+        return None
+    return (features, *np.nonzero(masks), labels if has_label else None)
+
+
+def _parse_csv(path: str):
+    """What `_read_sidecar` returns, parsed from the text of `path`."""
     labels, cand_rows, cand_cols = [], [], []
     failed = []  # a record check's error, held until the rows before it parse
 
@@ -416,22 +526,7 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
         raise ValueError(f"{path}: non-finite feature")
     if failed:
         raise failed[0]
-    largest = max(cand_cols)
-    inferred = largest + 1
-    if num_classes is None:
-        num_classes = max(inferred, 2)
-    elif num_classes < inferred:
-        raise ValueError(
-            f"{path}: num_classes={num_classes} but saw class index {largest}"
-        )
-    masks = np.zeros((len(features), num_classes), dtype=bool)
-    masks[cand_rows, cand_cols] = True
-    return Dataset(
-        features=features,
-        num_classes=num_classes,
-        true_labels=np.asarray(labels, dtype=np.int64) if has_label else None,
-        partial_masks=masks,
-    )
+    return features, cand_rows, cand_cols, labels if has_label else None
 
 
 def _read_header(fh, path: str) -> tuple[int, bool]:

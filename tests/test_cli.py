@@ -11,6 +11,8 @@ import sys
 import numpy as np
 import pytest
 
+import lwpll.cli
+import lwpll.data
 from lwpll import Layer, NetworkParams, load_partial_csv, save_checkpoint
 from lwpll.cli import ConfigError, ExperimentConfig, main, parse_config_text
 
@@ -680,6 +682,63 @@ def test_csv_source_is_read_once_per_command(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, csv_config, **{"output.dir": tmp_path / "out"})
     assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
     assert sorted(os.path.basename(p) for p in loaded) == ["corpus.csv", "test.csv"]
+
+
+def test_sidecars_leave_every_output_byte_unchanged(tmp_path, capsys, monkeypatch):
+    # generate writes a binary sidecar beside each CSV; sweep and eval read
+    # it in place of the text, and must write the same bytes either way.
+    gen_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "gen"})
+    assert main(["generate", "--config", gen_path, "--quiet"]) == 0
+    gen_dir = next((tmp_path / "gen").iterdir())
+    sidecars = sorted(gen_dir.glob("*.lwb"))
+    assert [p.name for p in sidecars] == ["corpus.csv.lwb", "test.csv.lwb"]
+    parsed = []
+    parse = lwpll.data._parse_csv
+    monkeypatch.setattr(lwpll.data, "_parse_csv",
+                        lambda path: parsed.append(path) or parse(path))
+    csv_config = (
+        f"dataset.kind = csv\ndataset.csv = {gen_dir / 'corpus.csv'}\n"
+        f"dataset.test_csv = {gen_dir / 'test.csv'}\n"
+        "trainer.epochs = 2\nseeds = 0,1\n"
+    )
+
+    def run(name):
+        out = tmp_path / name
+        cfg_path = write_config(tmp_path, csv_config, **{"output.dir": out})
+        assert main(["sweep", "--config", cfg_path, "--quiet", "--beta", "0,1"]) == 0
+        (run_dir,) = out.iterdir()
+        assert main(["eval", "--checkpoint", str(run_dir / "beta1" / "checkpoint_seed0.bin"),
+                     "--csv", str(gen_dir / "test.csv"),
+                     "--confusion", str(out / "confusion.csv"), "--quiet"]) == 0
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.suffix in (".csv", ".bin")}
+        return files, capsys.readouterr().out
+
+    with_sidecars = run("with")
+    assert parsed == []
+    for sidecar in sidecars:
+        sidecar.unlink()
+    assert run("without") == with_sidecars
+    assert sorted(os.path.basename(p) for p in parsed) == ["corpus.csv", "test.csv", "test.csv"]
+    names = [name.split("/")[-1] for name in with_sidecars[0]]
+    assert len(names) == 10 and {"confusion.csv", "summary.csv"} <= set(names)
+
+
+def test_failed_generate_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
+    # The corpus and its sidecar are written; the test set's write fails.
+    save = lwpll.cli.save_partial_csv
+
+    def failing_save(dataset, path):
+        if os.path.basename(path) == "test.csv":
+            raise OSError(f"{path}: no space left on device")
+        save(dataset, path)
+
+    monkeypatch.setattr(lwpll.cli, "save_partial_csv", failing_save)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": out})
+    assert main(["generate", "--config", cfg_path, "--quiet"]) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert not out.exists() and list(tmp_path.rglob("*.lwb")) == []
 
 
 def test_unknown_config_path_is_reported(tmp_path):

@@ -1,11 +1,13 @@
 """Dataset containers, file formats, and the synthetic Gaussian task."""
 
+import hashlib
 import struct
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +143,27 @@ def test_load_idx_with_fewer_than_two_classes_names_the_labels_file(tmp_path, la
 # partial-label CSV
 
 
+def dataset_bytes(ds):
+    """Everything a dataset holds: class count, and each array's dtype,
+    shape and bytes (None for a missing array)."""
+    arrays = (ds.features, ds.true_labels, ds.partial_masks)
+    return ds.num_classes, [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                            for a in arrays]
+
+
+def load_both_ways(path, load=load_partial_csv, **kwargs):
+    """Load `path` from its sidecar, then again by parsing after deleting the
+    sidecar; the two datasets must be byte-identical. Returns both."""
+    sidecar = Path(f"{path}.lwb")
+    assert sidecar.is_file()
+    with mock.patch.object(data, "_parse_csv", side_effect=AssertionError("parsed")):
+        from_sidecar = load(str(path), **kwargs)
+    sidecar.unlink()
+    parsed = load(str(path), **kwargs)
+    assert dataset_bytes(from_sidecar) == dataset_bytes(parsed)
+    return from_sidecar, parsed
+
+
 def test_csv_single_row_grammar(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("f0,f1,candidates,true_label\n0.5,1.25,0|2,0\n")
@@ -155,11 +178,11 @@ def test_csv_round_trip(tmp_path):
     ds = random_dataset(rng, n=1000, d=5, k=6)
     path = tmp_path / "corpus.csv"
     save_partial_csv(ds, str(path))
-    back = load_partial_csv(str(path))
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.partial_masks, ds.partial_masks)
-    assert np.array_equal(back.true_labels, ds.true_labels)
-    assert back.num_classes == ds.num_classes
+    for back in load_both_ways(path):
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.partial_masks, ds.partial_masks)
+        assert np.array_equal(back.true_labels, ds.true_labels)
+        assert back.num_classes == ds.num_classes
 
 
 def test_csv_round_trip_without_labels(tmp_path):
@@ -167,9 +190,9 @@ def test_csv_round_trip_without_labels(tmp_path):
     ds = random_dataset(rng, with_labels=False)
     path = tmp_path / "unlabeled.csv"
     save_partial_csv(ds, str(path))
-    back = load_partial_csv(str(path), num_classes=4)
-    assert back.true_labels is None
-    assert np.array_equal(back.partial_masks, ds.partial_masks)
+    for back in load_both_ways(path, num_classes=4):
+        assert back.true_labels is None
+        assert np.array_equal(back.partial_masks, ds.partial_masks)
 
 
 def test_csv_duplicate_candidates(tmp_path):
@@ -274,13 +297,14 @@ def test_csv_round_trip_property(ds):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / "prop.csv")
         save_partial_csv(ds, path)
-        back = load_partial_csv(path, num_classes=ds.num_classes)
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert np.array_equal(back.partial_masks, ds.partial_masks)
-    if ds.true_labels is None:
-        assert back.true_labels is None
-    else:
-        assert np.array_equal(back.true_labels, ds.true_labels)
+        loads = load_both_ways(path, num_classes=ds.num_classes)
+    for back in loads:
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.partial_masks, ds.partial_masks)
+        if ds.true_labels is None:
+            assert back.true_labels is None
+        else:
+            assert np.array_equal(back.true_labels, ds.true_labels)
 
 
 def test_csv_num_classes_override(tmp_path):
@@ -359,13 +383,157 @@ def traced_peak(fn):
 
 
 def test_csv_load_peaks_near_the_feature_matrix(tmp_path):
-    # The loader streams records into one parse and keeps no file text.
+    # The sidecar is read straight into the returned arrays; the parse
+    # streams records into one np.loadtxt call and keeps no file text.
     rng = make_rng(331)
     path = tmp_path / "corpus.csv"
     save_partial_csv(random_dataset(rng, n=2000, d=64, k=10), str(path))
-    ds, peak = traced_peak(lambda: load_partial_csv(str(path)))
-    assert ds.features.shape == (2000, 64)
-    assert peak <= 2 * ds.features.nbytes
+    peaks = []
+
+    def traced_load(csv_path):
+        ds, peak = traced_peak(lambda: load_partial_csv(csv_path))
+        peaks.append(peak)
+        return ds
+
+    loads = load_both_ways(path, traced_load)
+    for ds, peak in zip(loads, peaks):
+        assert ds.features.shape == (2000, 64)
+        assert peak <= 2 * ds.features.nbytes
+
+
+# the binary sidecar: used only when it passes its checks
+
+SIDECAR_HEAD = 97  # magic, version, n, d, K, has_label, two SHA-256 digests
+ROWS_AT, PAYLOAD_DIGEST_AT = 8, 65
+
+
+def edit_first_digit(blob):
+    """Change the first feature digit of the first record."""
+    at = blob.index(b"\r\n") + 2
+    while not chr(blob[at]).isdigit():
+        at += 1
+    blob[at] = ord("0") + (blob[at] - ord("0") + 1) % 10
+
+
+def append_row(blob):
+    blob.extend(b"0.5,0.25,0.125,0|1,1\r\n")
+
+
+def spoil_first_record(blob):
+    """Make the first record's first feature non-numeric."""
+    blob[blob.index(b"\r\n") + 2] = ord("x")
+
+
+def drop_last_byte(blob):
+    del blob[-1]
+
+
+def cut_inside_header(blob):
+    del blob[40:]
+
+
+def bad_magic(blob):
+    blob[:4] = b"LWPX"
+
+
+def flip_payload_byte(blob):
+    blob[SIDECAR_HEAD + 5] ^= 1
+
+
+def mask_byte_two(blob):
+    """Set the first mask byte to 2 under a payload digest that matches."""
+    n, d = struct.unpack_from("<QQ", blob, ROWS_AT)
+    blob[SIDECAR_HEAD + 8 * n * d] = 2
+    blob[PAYLOAD_DIGEST_AT:SIDECAR_HEAD] = hashlib.sha256(blob[SIDECAR_HEAD:]).digest()
+
+
+def claim_2_40_rows(blob):
+    struct.pack_into("<Q", blob, ROWS_AT, 1 << 40)
+
+
+def edit(which, change):
+    """Apply `change` to a bytearray of the CSV's or the sidecar's bytes."""
+    def apply(csv, sidecar):
+        path = csv if which == "csv" else sidecar
+        blob = bytearray(path.read_bytes())
+        change(blob)
+        path.write_bytes(bytes(blob))
+    return apply
+
+
+def keep(csv, sidecar):
+    pass
+
+
+def make_unreadable(csv, sidecar):
+    sidecar.unlink()
+    sidecar.mkdir()
+
+
+# case: (change to the CSV or its sidecar, load keywords, whether the sidecar
+# stays trusted). Every case must return or raise what the parse alone does.
+SIDECAR_CASES = {
+    "intact": (keep, {}, True),
+    "wider_num_classes": (keep, {"num_classes": 7}, True),
+    "num_classes_below_the_data": (keep, {"num_classes": 3}, True),
+    "without_labels": (keep, {}, True),
+    "csv_digit_edited": (edit("csv", edit_first_digit), {}, False),
+    "csv_row_appended": (edit("csv", append_row), {}, False),
+    "csv_record_made_bad": (edit("csv", spoil_first_record), {}, False),
+    "sidecar_truncated": (edit("sidecar", drop_last_byte), {}, False),
+    "sidecar_header_truncated": (edit("sidecar", cut_inside_header), {}, False),
+    "sidecar_bad_magic": (edit("sidecar", bad_magic), {}, False),
+    "sidecar_payload_byte_flipped": (edit("sidecar", flip_payload_byte), {}, False),
+    "sidecar_mask_byte_two": (edit("sidecar", mask_byte_two), {}, False),
+    "sidecar_claims_2_40_rows": (edit("sidecar", claim_2_40_rows), {}, False),
+    "sidecar_unreadable": (make_unreadable, {}, False),
+}
+
+
+def load_outcome(path, **kwargs):
+    """The loaded dataset's bytes, or the text of the ValueError it raised."""
+    try:
+        return dataset_bytes(load_partial_csv(str(path), **kwargs))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+def test_sidecar_is_used_only_when_it_passes_its_checks(tmp_path, monkeypatch, case):
+    change, kwargs, trusted = SIDECAR_CASES[case]
+    ds = random_dataset(make_rng(347), n=60, d=3, k=5,
+                        with_labels=case != "without_labels")
+    assert ds.partial_masks[:, -1].any()  # the data reach class 4
+    path = tmp_path / "corpus.csv"
+    save_partial_csv(ds, str(path))
+    sidecar = Path(f"{path}.lwb")
+    change(path, sidecar)
+    opened, parses = [], []
+
+    def tracked_open(*args, **kw):
+        opened.append(open(*args, **kw))
+        return opened[-1]
+
+    def counted_parse(csv_path):
+        parses.append(csv_path)
+        return parse(csv_path)
+
+    parse = data._parse_csv
+    monkeypatch.setattr(data, "open", tracked_open, raising=False)
+    monkeypatch.setattr(data, "_parse_csv", counted_parse)
+    got, peak = traced_peak(lambda: load_outcome(path, **kwargs))
+    assert opened and all(fh.closed for fh in opened)
+    assert len(parses) == (0 if trusted else 1)
+    assert peak < 1 << 20  # the claimed 2**40 rows are never allocated
+    if sidecar.is_dir():
+        sidecar.rmdir()
+    else:
+        sidecar.unlink()
+    assert got == load_outcome(path, **kwargs)
+    if case == "num_classes_below_the_data":
+        assert got == f"{path}: num_classes=3 but saw class index 4"
+    if case == "csv_record_made_bad":
+        assert got == f"{path}:2: non-numeric feature"
 
 
 # feature formatting: the block formatter against Python's "%.17g"

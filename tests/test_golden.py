@@ -1,12 +1,12 @@
 """Golden bytes: the exact files `generate`, `train` and `sweep` write.
 
 One tiny gaussian config (K=3, d=4, 96 + 24 rows, 2 epochs, seeds 0 and 1)
-is run through the CLI, and every corpus, metrics, checkpoint and summary
-file is compared with a SHA-256 recorded with NumPy 2.4.6 (the version CI
-pins). Identity across code versions, not just across two invocations of
-one version, is what lets a refactor or a speedup show that it kept the
-output bytes. A digest may only change in a change that says why the bytes
-moved.
+is run through the CLI, and every corpus, corpus sidecar, metrics,
+checkpoint and summary file is compared with a SHA-256 recorded with NumPy
+2.4.6 (the version CI pins). Identity across code versions, not just
+across two invocations of one version, is what lets a refactor or a speedup
+show that it kept the output bytes. A digest may only change in a change
+that says why the bytes moved.
 
 The bytes also depend on NumPy's SIMD dispatch and on the BLAS kernel and
 thread count, so each command runs in a subprocess with all three pinned
@@ -105,6 +105,8 @@ GOLDEN = {
     "generate": {
         "corpus.csv": "f0fcd5bb8ea5a72c22dc3107768a5e1e9c688bf3f6b394b8ec144f8bfa032416",
         "test.csv": "ebc82c215da37f3f1a0258bada79fef4705cebc45142edbbf570f88dc2ac1ca9",
+        "corpus.csv.lwb": "030932d493a54f80141307ec3edf581e5cec972fbc2c83a99364cedd522296f9",
+        "test.csv.lwb": "781b2da3c9cf830c9255e783ee24d96d6b6a1c7a5f6c78a2759ebfd68f48a542",
     },
     "train_cross_entropy": {
         "checkpoint_seed0.bin": "1d53fa3f08a9a87ec230c4d4b3c749a688cba3c1ab293ad024080d3bb65fb4e0",
@@ -173,7 +175,7 @@ D784_GOLDEN = {
 
 def run_and_hash(tmp_path, argv, extra=None, config=GOLDEN_CONFIG):
     """Run one command on `config` in a subprocess under `PINNED_ENV`; digest
-    every CSV and checkpoint it writes."""
+    every CSV, CSV sidecar and checkpoint it writes."""
     out = tmp_path / "out"
     lines = [config] + [f"{k} = {v}" for k, v in (extra or {}).items()]
     cfg = tmp_path / "golden.cfg"
@@ -189,7 +191,7 @@ def run_and_hash(tmp_path, argv, extra=None, config=GOLDEN_CONFIG):
     return {
         path.relative_to(run_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(run_dir.rglob("*"))
-        if path.suffix in (".csv", ".bin")
+        if path.suffix in (".csv", ".bin", ".lwb")
     }
 
 
