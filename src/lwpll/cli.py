@@ -206,18 +206,28 @@ def _flag(flag: str, value, check):
     return value
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Raw key -> value strings from `key = value` lines; '#' starts a comment."""
+def parse_config_text(text: str, path: str) -> dict[str, str]:
+    """Raw key -> value strings from `key = value` lines of the config file
+    `path`; '#' starts a comment.
+
+    Errors name `path:line`. A line holding an undecodable byte, which
+    reads as a lone surrogate under ``errors="surrogateescape"``, is an
+    error: values go into the fingerprint and the manifest as text.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"{path}:{lineno}"
+        bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+        if bad is not None:
+            raise ConfigError(f"{where}: byte {ord(bad) - 0xdc00:#04x} is not UTF-8")
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
         if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         raw[key] = value
     return raw
 
@@ -236,8 +246,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(parse_config_text(fh.read()))
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return cls(parse_config_text(fh.read(), path))
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -272,22 +282,32 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _naming(cfg: ExperimentConfig, keys, exc: Exception) -> ConfigError:
+    """`exc` as an error that names the config keys behind it, with their values."""
+    named = ", ".join(f"{key}={cfg[key]!r}" for key in keys)
+    return ConfigError(f"{named}: {exc}")
+
+
+def _generation_keys(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The keys that build the candidate-set model's q matrix."""
+    if cfg["generation.kind"] == "uniform":
+        return ("generation.kind", "generation.q")
+    return ("generation.kind", "generation.q1", "generation.q2", "generation.q3")
+
+
 def _generation_model(cfg: ExperimentConfig, num_classes: int):
     """The candidate-set model over `num_classes` classes; one the keys
     cannot build is an error naming them."""
-    kind = cfg["generation.kind"]
-    q_keys = (("generation.q",) if kind == "uniform"
-              else ("generation.q1", "generation.q2", "generation.q3"))
+    kind, keys = cfg["generation.kind"], _generation_keys(cfg)
     try:
         if kind == "uniform":
             return labelgen.make_uniform(num_classes, cfg["generation.q"],
                                          reject_full=cfg["generation.reject_full"])
         return labelgen.make_case(num_classes, int(kind.removeprefix("case")),
-                                  *(cfg[key] for key in q_keys),
+                                  *(cfg[key] for key in keys[1:]),
                                   reject_full=cfg["generation.reject_full"])
     except ValueError as exc:
-        named = ", ".join(f"{key}={cfg[key]!r}" for key in ("generation.kind", *q_keys))
-        raise ConfigError(f"{named}: {exc}") from None
+        raise _naming(cfg, keys, exc) from None
 
 
 def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -304,8 +324,9 @@ def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
                 full = make_gaussian_task(classes, dim, n + test_n, separation, sigma,
                                           cfg["gaussian.seed"] + seed)
         except ValueError as exc:
-            named = ", ".join(f"{key}={cfg[key]!r}" for key in task)
-            raise ConfigError(f"{named}: {exc}") from None
+            raise _naming(cfg, task, exc) from None
+        except MemoryError as exc:
+            raise _naming(cfg, ("gaussian.n", "gaussian.test_n", "gaussian.dim"), exc) from None
         train_ds = take(full, slice(n))
         test_ds = take(full, slice(n, None)) if test_n > 0 else None
     elif kind == "idx":
@@ -333,7 +354,7 @@ def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
                 raise ConfigError(f"{cfg['dataset.test_csv']}: the test set has no true "
                                   "labels to score against")
     if test_ds is not None and test_ds.num_features != train_ds.num_features:
-        raise ConfigError(f"{cfg[_TEST_SET_KEY[kind]]}: the test set has "
+        raise ConfigError(f"{_test_set_name(cfg)}: the test set has "
                           f"{test_ds.num_features} features, the training set "
                           f"{train_ds.num_features}")
     limit = cfg["dataset.limit"]
@@ -343,6 +364,14 @@ def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | N
     return train_ds, test_ds
 
 
+def _test_set_name(cfg: ExperimentConfig) -> str:
+    """The test set's file, or what draws a Gaussian one."""
+    key = _TEST_SET_KEY[cfg["dataset.kind"]]
+    if key == "gaussian.test_n":
+        return f"the Gaussian test set ({key} = {cfg[key]})"
+    return cfg[key]
+
+
 def _partial_train_set(cfg: ExperimentConfig, train_ds: Dataset, seed: int) -> Dataset:
     """`train_ds` if it carries candidate sets, else `train_ds` with sets
     drawn from stream `seed` of generation.seed. Sources without candidate
@@ -350,7 +379,11 @@ def _partial_train_set(cfg: ExperimentConfig, train_ds: Dataset, seed: int) -> D
     if train_ds.partial_masks is not None:
         return train_ds
     model = _generation_model(cfg, train_ds.num_classes)
-    masks = model.sample_sets(train_ds.true_labels, make_rng(cfg["generation.seed"], stream=seed))
+    try:
+        masks = model.sample_sets(train_ds.true_labels,
+                                  make_rng(cfg["generation.seed"], stream=seed))
+    except RuntimeError as exc:  # a reject_full model that cannot finish
+        raise _naming(cfg, (*_generation_keys(cfg), "generation.reject_full"), exc) from None
     return with_candidates(train_ds, masks)
 
 
@@ -380,7 +413,10 @@ def _execute_run(cfg: ExperimentConfig, alpha: float, beta: float, seed: int,
     result = train(train_ds, LWConfig(beta=beta, alpha=alpha, psi=get_loss(cfg["loss.psi"])),
                    TrainerConfig(seed=seed, **trainer),
                    arch=cfg["model.arch"], hidden=cfg["model.hidden"])
-    test_acc = accuracy(result.params, test_ds) if test_ds is not None else None
+    try:
+        test_acc = accuracy(result.params, test_ds) if test_ds is not None else None
+    except ValueError as exc:  # a test row whose scores are not finite
+        raise ConfigError(f"{_test_set_name(cfg)}: {exc}") from None
     os.makedirs(os.path.join(stage, label), exist_ok=True)
     metrics = os.path.join(label, f"metrics_seed{seed}.csv")
     checkpoint = os.path.join(label, f"checkpoint_seed{seed}.bin")
@@ -703,7 +739,10 @@ def cmd_eval(
     if widths[0] != dataset.num_features:
         raise ConfigError(f"{csv_path}: the dataset has d={dataset.num_features}, but "
                           f"checkpoint {checkpoint_path} expects d={widths[0]}")
-    preds = predict(params, dataset.features)
+    try:
+        preds = predict(params, dataset.features)
+    except ValueError as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from None
     acc = float(np.mean(preds == dataset.true_labels))
     k = dataset.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -790,6 +829,9 @@ def main(argv=None) -> int:
                         quiet=args.quiet)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # input too large for memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

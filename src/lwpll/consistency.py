@@ -27,15 +27,16 @@ the per-row arithmetic and reduction order are unchanged, and `math.fsum` is
 exact. The coefficient-ordering instances are drawn and checked one K at a
 time, with one bulk Generator call per quantity.
 
-A NaN discrepancy ranks above every number (`severity`), so a check that
-produces one reports it as its worst case and fails.
+Every check reports as its worst case the first case in check order with
+the largest gap (`_report`). A NaN gap ranks above every number
+(`severity`), so a check that produces one reports it and fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,6 +90,16 @@ def severity(gap: float) -> tuple[bool, float]:
     """
     nan = math.isnan(gap)
     return (nan, 0.0 if nan else gap)
+
+
+def _report(cases, instances: int, placeholder: str) -> ConsistencyReport:
+    """Report the first of the (gap, describe) cases, given in check order,
+    with the largest gap under `severity`; only its `describe()` is called.
+    No cases give gap 0 and the worst case `placeholder`."""
+    gap, describe = max(
+        cases, key=lambda case: severity(case[0]), default=(0.0, lambda: placeholder)
+    )
+    return ConsistencyReport(gap, instances, describe())
 
 
 def validate_posterior(p) -> np.ndarray:
@@ -367,7 +378,7 @@ def certify_risk_equivalence(
     psis = tuple(BINARY_LOSSES.values())
     period = math.lcm(len(k_values), len(psis))
     groups = {}
-    worst = (0.0, -1)
+    gaps = np.zeros(max(instances, 0))
     for i in range(instances):
         j = i % period
         if j not in groups:
@@ -394,25 +405,18 @@ def certify_risk_equivalence(
         )
         lhs = partial_risk_bruteforce(g[:n], p[:n], model, w[:n], cfg)
         rhs = supervised_risk_direct(g[:n], p[:n], model, w[:n], cfg, derived_loss)
-        # The first instance in draw order with the largest gap, as a
-        # one-at-a-time scan from instance 0 keeping strict improvements
-        # would report it (all gaps 0 name instance 0); NaN beats any number.
-        checked = zip(np.abs(lhs - rhs).tolist(), index[:n].tolist())
-        worst = max(worst, *checked, key=lambda c: (c[1] >= 0, severity(c[0]), -c[1]))
-    if worst[1] < 0:
-        return ConsistencyReport(
-            max_discrepancy=0.0, instances=instances, worst_case="no instances checked"
-        )
-    gap, i = worst
-    return ConsistencyReport(
-        max_discrepancy=gap,
-        instances=instances,
-        worst_case=(
+        gaps[index[:n]] = np.abs(lhs - rhs)
+
+    def describe(i, gap):
+        return (
             f"instance {i}: K={k_values[i % len(k_values)]}, "
             f"psi={psis[i % len(psis)].name}, beta={betas[i % len(betas)]}, "
             f"alpha={alphas[i % len(alphas)]}, |lhs-rhs|={gap:.3e}"
-        ),
-    )
+        )
+
+    # The batches finish out of draw order; the cases go in instance order.
+    cases = ((gap, partial(describe, i, gap)) for i, gap in enumerate(gaps.tolist()))
+    return _report(cases, instances, "no instances checked")
 
 
 def certify_subset_normalization(
@@ -422,17 +426,13 @@ def certify_subset_normalization(
 ) -> ConsistencyReport:
     """Set probabilities sum to 1 for each true label, over random models."""
     rng = make_rng(seed)
-    worst = (0.0, None)
-    for i in range(models):
+
+    def case(i):
         k = k_values[i % len(k_values)]
-        model = _random_model(rng.random((k, k)))
-        y = int(rng.integers(k))
-        report = lemma1_check(model, y)
-        if worst[1] is None or severity(report.max_discrepancy) > severity(worst[0]):
-            worst = (report.max_discrepancy, f"model {i}: {report.worst_case}")
-    return ConsistencyReport(
-        max_discrepancy=worst[0], instances=models, worst_case=worst[1] or "no models checked"
-    )
+        report = lemma1_check(_random_model(rng.random((k, k))), int(rng.integers(k)))
+        return report.max_discrepancy, lambda: f"model {i}: {report.worst_case}"
+
+    return _report(map(case, range(models)), models, "no models checked")
 
 
 def certify_uniform_recovery(
@@ -440,22 +440,18 @@ def certify_uniform_recovery(
 ) -> ConsistencyReport:
     """Uniform q = 1/2 with rejection: every proper set has probability
     1/(2^(K-1) - 1)."""
-    worst = (0.0, None)
+    cases = []
     checked = 0
     for k in k_values:
         model = make_uniform(k, 0.5, reject_full=True)
         expected = 1.0 / (2 ** (k - 1) - 1)
         for y in range(k):
             subsets = enumerate_subsets(k, containing=y)
-            proper = subsets[~subsets.all(axis=1)]
-            probs = model.subset_probabilities(y, proper)
-            checked += proper.shape[0]
+            probs = model.subset_probabilities(y, subsets[~subsets.all(axis=1)])
+            checked += probs.shape[0]
             gap = float(np.abs(probs - expected).max())
-            if worst[1] is None or severity(gap) > severity(worst[0]):
-                worst = (gap, f"K={k}, y={y}, target={expected!r}")
-    return ConsistencyReport(
-        max_discrepancy=worst[0], instances=checked, worst_case=worst[1] or "no subsets checked"
-    )
+            cases.append((gap, partial("K={}, y={}, target={!r}".format, k, y, expected)))
+    return _report(cases, checked, "no subsets checked")
 
 
 def certify_coefficient_ordering(
@@ -472,8 +468,7 @@ def certify_coefficient_ordering(
     """
     rng = make_rng(seed)
     period = len(k_values)
-    failures = 0
-    first = None
+    failures = []
     for j, k in enumerate(k_values[: max(instances, 0)]):
         n = len(range(j, instances, period))
         rows = np.arange(n)
@@ -486,19 +481,8 @@ def certify_coefficient_ordering(
         p = np.zeros_like(q)
         p[rows, y_star] = 1.0
         beta = 10.0 * (1.0 - rng.random(n))
-        failed = np.flatnonzero(~theorem2_coefficient_check(p, w, q, beta))
-        failures += failed.shape[0]
-        if failed.shape[0]:
-            r = failed[0]
-            index = j + period * int(r)
-            if first is None or index < first[0]:
-                first = (
-                    index,
-                    f"instance {index}: K={k}, y*={int(y_star[r])}, "
-                    f"beta={float(beta[r])!r}",
-                )
-    return ConsistencyReport(
-        max_discrepancy=float(failures > 0),
-        instances=instances,
-        worst_case="all instances ordered correctly" if first is None else first[1],
-    )
+        for r in np.flatnonzero(~theorem2_coefficient_check(p, w, q, beta)).tolist():
+            failures.append((j + period * r, k, int(y_star[r]), float(beta[r])))
+    describe = "instance {}: K={}, y*={}, beta={!r}".format
+    cases = [(1.0, partial(describe, *failure)) for failure in sorted(failures)]
+    return _report(cases, instances, "all instances ordered correctly")

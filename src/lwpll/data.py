@@ -10,10 +10,11 @@ Formats:
   accepted on read, and blank lines are skipped. Floats are written as
   ``%.17g`` (17 significant digits) so a save/load round trip reproduces
   every value bit for bit. Errors in a record name ``path:line``, counting
-  physical lines from 1 at the header. The parse streams records and keeps
-  no file text, so it peaks at about the feature matrix plus one record: a
-  10,000-row, d = 784 file of 158 MB parses with a tracemalloc peak of
-  72 MB for its 63 MB matrix.
+  physical lines from 1 at the header; a byte that is not UTF-8 makes its
+  cell bad and is reported so, like any other bad cell. The parse streams
+  records and keeps no file text, so it peaks at about the feature matrix
+  plus one record: a 10,000-row, d = 784 file of 158 MB parses with a
+  tracemalloc peak of 72 MB for its 63 MB matrix.
 - Binary sidecar ``<csv path>.lwb``, which `save_partial_csv` writes beside
   each CSV: b"LWPB", u32 version, u64 n, u64 d, u64 K, u8 has_label, the
   SHA-256 of the CSV's bytes, the SHA-256 of the payload, then the payload:
@@ -446,7 +447,11 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
         raise ValueError(
             f"{path}: num_classes={num_classes} but saw class index {largest}"
         )
-    masks = np.zeros((len(features), num_classes), dtype=bool)
+    try:
+        masks = np.zeros((len(features), num_classes), dtype=bool)
+    except MemoryError:
+        raise MemoryError(f"{path}: {len(features)} x {num_classes} candidate masks "
+                          "do not fit in memory") from None
     masks[cand_rows, cand_cols] = True
     return Dataset(
         features=features,
@@ -507,7 +512,7 @@ def _parse_csv(path: str):
         except ValueError as err:
             failed.append(err)
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         d, has_label = _read_header(fh, path)
         cells = feature_cells(_records(fh, path, d, has_label))
         # A file with no records never reaches loadtxt, which would warn.
@@ -595,7 +600,7 @@ def _raise_first_bad_line(path: str) -> None:
     A record fails its own checks, or its features do not parse or are not
     finite. Returns if every record is good.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         d, has_label = _read_header(fh, path)
         for lineno, text, _, _ in _records(fh, path, d, has_label):
             try:

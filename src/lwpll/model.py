@@ -169,8 +169,18 @@ def backward(params: NetworkParams, features, upstream) -> list[tuple[np.ndarray
 
 
 def predict(params: NetworkParams, features) -> np.ndarray:
-    """Argmax class per row; ties go to the lowest class index."""
-    return np.argmax(np.atleast_2d(forward(params, features)), axis=1)
+    """Argmax class per row; ties go to the lowest class index.
+
+    A row whose scores are not finite has no predicted class: ValueError
+    names the first such row, counting from 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.atleast_2d(forward(params, features))
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the model's scores for row {bad[0] + 1} (counting from 1) "
+                         "are not finite")
+    return np.argmax(scores, axis=1)
 
 
 def accuracy(params: NetworkParams, dataset: Dataset) -> float:

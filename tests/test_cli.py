@@ -13,6 +13,7 @@ import pytest
 
 import lwpll.cli
 import lwpll.data
+import lwpll.labelgen
 from lwpll import Layer, NetworkParams, load_partial_csv, save_checkpoint
 from lwpll.cli import ConfigError, ExperimentConfig, main, parse_config_text
 
@@ -45,15 +46,33 @@ def write_config(tmp_path, text=BASE_CONFIG, **extra):
 
 
 def test_parse_config_text():
-    parsed = parse_config_text("a.b = 1  # trailing comment\n\n# full comment\nc = hi\n")
+    parsed = parse_config_text("a.b = 1  # trailing comment\n\n# full comment\nc = hi\n",
+                               "exp.cfg")
     assert parsed == {"a.b": "1", "c": "hi"}
 
 
 def test_parse_config_rejects_duplicates_and_garbage():
     with pytest.raises(ConfigError):
-        parse_config_text("a = 1\na = 2\n")
+        parse_config_text("a = 1\na = 2\n", "exp.cfg")
     with pytest.raises(ConfigError):
-        parse_config_text("just some words\n")
+        parse_config_text("just some words\n", "exp.cfg")
+
+
+def test_config_file_errors_name_path_and_line(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    cases = (
+        (b"trainer.epochs = 1\ngaussian.n = \xff200\n", ":2: byte 0xff is not UTF-8"),
+        (b"# a bad byte in a comment\xfe\n", ":1: byte 0xfe is not UTF-8"),
+        (b"trainer.epochs = 1\ngarbage\n", ":2: expected 'key = value', got 'garbage'"),
+        (b"# c\ntrainer.epochs = 1\ntrainer.epochs = 2\n", ":3: duplicate key 'trainer.epochs'"),
+    )
+    for blob, message in cases:
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_file(str(path))
+        assert str(info.value) == f"{path}{message}"
+        assert main(["train", "--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -580,6 +599,83 @@ def test_input_errors_name_their_file(tmp_path, capsys):
         assert main(["train", "--config", cfg_path, "--quiet"]) == 2
         assert capsys.readouterr() == ("", message)
     assert not (tmp_path / "out").exists()
+
+
+def test_input_too_large_for_memory_exits_2_and_keeps_output_dir(tmp_path, capsys):
+    # 10**15 entries exceed any host's memory and the 128 TiB address space of
+    # 4-level x86-64 paging, so the allocations fail everywhere.
+    huge_class = tmp_path / "huge_class.csv"
+    huge_class.write_text(f"f0,candidates,true_label\n1.0,0,0\n2.0,0|{10**15},0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    cases = (
+        (f"dataset.kind = csv\ndataset.csv = {huge_class}\n",
+         f"error: {huge_class}: 2 x {10**15 + 1} candidate masks do not fit in memory\n"),
+        (BASE_CONFIG.replace("gaussian.n = 200", f"gaussian.n = {10**15}"),
+         f"error: gaussian.n={10**15}, gaussian.test_n=80, gaussian.dim=2: Unable to allocate"),
+    )
+    for text, message in cases:
+        cfg_path = write_config(tmp_path, text, **{"output.dir": out})
+        assert main(["train", "--config", cfg_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(out) == ["kept.txt"]
+
+
+def test_reject_full_model_that_cannot_finish_is_bad_input(tmp_path, capsys, monkeypatch):
+    # With 2 classes and q near 1 nearly every draw is the full set; a small
+    # redraw cap makes the sampler give up at once rather than after 10**6 rounds.
+    monkeypatch.setattr(lwpll.labelgen, "RETRY_CAP", 3)
+    text = (BASE_CONFIG.replace("gaussian.classes = 3", "gaussian.classes = 2")
+            .replace("generation.q = 0.3", "generation.q = 0.9999999")
+            + "generation.reject_full = true\n")
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, text, **{"output.dir": out})
+    for command in (["generate"], ["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: generation.kind='uniform', generation.q=0.9999999, "
+            "generation.reject_full=True: gave up after 3 bulk redraw rounds"
+        ), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_test_rows_that_cannot_be_scored_fail_train_sweep_and_eval(tmp_path, capsys):
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    train_csv.write_text("f0,f1,candidates,true_label\n" + "".join(
+        f"{i % 3}.0,{i % 5}.5,{i % 3}|{(i + 1) % 3},{i % 3}\n" for i in range(40)))
+    # Row 2's scores overflow to +-inf.
+    test_csv.write_text("f0,f1,candidates,true_label\n0,1,0,0\n1e308,-1e308,1,1\n2,2,2,2\n")
+    message = (f"error: {test_csv}: the model's scores for row 2 (counting from 1) "
+               "are not finite\n")
+    source = f"dataset.kind = csv\ndataset.csv = {train_csv}\ntrainer.epochs = 2\nseeds = 0\n"
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, source + f"dataset.test_csv = {test_csv}\n",
+                            **{"output.dir": out})
+    for command in (["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+    cfg_path = write_config(tmp_path, source, **{"output.dir": out})
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    checkpoint = next(out.iterdir()) / "checkpoint_seed0.bin"
+    confusion = tmp_path / "confusion.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(test_csv),
+                 "--confusion", str(confusion), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", message)
+    # Scores of inf - inf are NaN, which argmax would count as class 0.
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("f0,f1,candidates,true_label\n1,1,0,0\n1e308,1e308,0,0\n")
+    sums = Layer(W=np.ones((2, 2)), b=np.zeros(2), activation="relu")
+    diff = Layer(W=np.array([[1.0, -1.0], [0.0, 0.0]]), b=np.zeros(2), activation="identity")
+    save_checkpoint(NetworkParams([sums, diff]), tmp_path / "nan.bin")
+    assert main(["eval", "--checkpoint", str(tmp_path / "nan.bin"), "--csv", str(nan_csv),
+                 "--confusion", str(confusion), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", message.replace(str(test_csv), str(nan_csv)))
+    assert not confusion.exists()
 
 
 def write_idx_source(tmp_path, name, n, side):

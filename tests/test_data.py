@@ -241,6 +241,31 @@ def test_csv_malformed_rows_cite_line_numbers(tmp_path):
         assert needle in str(info.value), text
 
 
+def test_csv_undecodable_bytes_are_bad_cells_with_line_numbers(tmp_path):
+    cases = [
+        (b"f0,f1,candidates,true_label\n1,2,0|1,0\n1,\xff2,1,1\n", ":3: non-numeric feature"),
+        (b"f0,f1,candidates,true_label\n1,2,0|1,0\n1,2,\xff1,1\n",
+         ":3: bad candidate '\\udcff1'"),
+        (b"f0,f1,candidates,true_label\n1,2,0|1,0\n1,2,1,\xfe\n", ":3: bad true_label"),
+    ]
+    for blob, message in cases:
+        path = tmp_path / "bad.csv"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            load_partial_csv(str(path))
+        assert str(info.value).startswith(f"{path}{message}"), blob
+
+
+def test_csv_candidate_masks_too_large_for_memory_name_the_file(tmp_path):
+    # 2 x (10**15 + 1) bytes exceed any host's memory and the 128 TiB address
+    # space of 4-level x86-64 paging, so the allocation fails everywhere.
+    path = tmp_path / "huge_class.csv"
+    path.write_text(f"f0,candidates\n1.0,0\n2.0,0|{10**15}\n")
+    with pytest.raises(MemoryError) as info:
+        load_partial_csv(str(path))
+    assert str(info.value).startswith(f"{path}: 2 x {10**15 + 1} candidate masks")
+
+
 def test_csv_line_numbers_count_blank_lines(tmp_path):
     path = tmp_path / "gappy.csv"
     path.write_text("f0,candidates\r\n\r\n1.0,0\r\n\n2.0,1\n\nabc,0\n")

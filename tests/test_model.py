@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ def test_predict_argmax_and_ties():
     params = NetworkParams([Layer(W=np.eye(3), b=np.zeros(3), activation="identity")])
     assert predict(params, np.array([0.1, 0.9, 0.3]))[0] == 1
     assert predict(params, np.array([0.5, 0.5, 0.1]))[0] == 0
+
+
+def test_predict_and_accuracy_reject_rows_whose_scores_are_not_finite():
+    # Row 2 overflows to inf, row 3 is NaN; argmax would count both.
+    params = NetworkParams([Layer(W=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]),
+                                  b=np.zeros(3), activation="identity")])
+    features = np.array([[1.0, 2.0], [1e308, -1e308], [np.nan, 0.0]])
+    for rows, first in ((features, 2), (features[[0, 2]], 2), (features[2], 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"scores for row {first} \(counting from 1\) "
+                                                 "are not finite"):
+                predict(params, rows)
+    ds = Dataset(features=features[:2], num_classes=3, true_labels=np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="row 2"):
+        accuracy(params, ds)
 
 
 def test_accuracy_equals_one_minus_zero_one_risk():
