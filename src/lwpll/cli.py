@@ -177,7 +177,7 @@ _SCHEMA = {
     "trainer.val_fraction": (float, 0.1, _FRACTION),
     "trainer.per_batch_weight_update": (_parse_bool, False, _ANY),
     "seeds": (_list_of(int), (0,), _seed_list),
-    "output.dir": (str, "out", _ANY),
+    "output.dir": (str, "out", _must("not be empty", bool)),
 }
 
 
@@ -246,7 +246,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             return cls(parse_config_text(fh.read(), path))
 
     def __getitem__(self, key: str):
@@ -288,26 +288,21 @@ def _naming(cfg: ExperimentConfig, keys, exc: Exception) -> ConfigError:
     return ConfigError(f"{named}: {exc}")
 
 
-def _generation_keys(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """The keys that build the candidate-set model's q matrix."""
-    if cfg["generation.kind"] == "uniform":
-        return ("generation.kind", "generation.q")
-    return ("generation.kind", "generation.q1", "generation.q2", "generation.q3")
-
-
 def _generation_model(cfg: ExperimentConfig, num_classes: int):
     """The candidate-set model over `num_classes` classes; one the keys
     cannot build is an error naming them."""
-    kind, keys = cfg["generation.kind"], _generation_keys(cfg)
+    kind = cfg["generation.kind"]
+    rates = (["generation.q"] if kind == "uniform"
+             else ["generation.q1", "generation.q2", "generation.q3"])
     try:
         if kind == "uniform":
             return labelgen.make_uniform(num_classes, cfg["generation.q"],
                                          reject_full=cfg["generation.reject_full"])
         return labelgen.make_case(num_classes, int(kind.removeprefix("case")),
-                                  *(cfg[key] for key in keys[1:]),
+                                  *(cfg[key] for key in rates),
                                   reject_full=cfg["generation.reject_full"])
     except ValueError as exc:
-        raise _naming(cfg, keys, exc) from None
+        raise _naming(cfg, ["generation.kind", *rates], exc) from None
 
 
 def _load_source(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -378,12 +373,8 @@ def _partial_train_set(cfg: ExperimentConfig, train_ds: Dataset, seed: int) -> D
     sets (Gaussian, IDX) always carry true labels."""
     if train_ds.partial_masks is not None:
         return train_ds
-    model = _generation_model(cfg, train_ds.num_classes)
-    try:
-        masks = model.sample_sets(train_ds.true_labels,
-                                  make_rng(cfg["generation.seed"], stream=seed))
-    except RuntimeError as exc:  # a reject_full model that cannot finish
-        raise _naming(cfg, (*_generation_keys(cfg), "generation.reject_full"), exc) from None
+    masks = _generation_model(cfg, train_ds.num_classes).sample_sets(
+        train_ds.true_labels, make_rng(cfg["generation.seed"], stream=seed))
     return with_candidates(train_ds, masks)
 
 
@@ -761,8 +752,8 @@ def _load_cli_config(args) -> ExperimentConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (_flag("--seed", args.seed, _SCHEMA["generation.seed"][2]),)
-    if getattr(args, "out", None):
-        overrides["output.dir"] = args.out
+    if getattr(args, "out", None) is not None:
+        overrides["output.dir"] = _flag("--out", args.out, _SCHEMA["output.dir"][2])
     return cfg.override(**overrides) if overrides else cfg
 
 

@@ -19,7 +19,8 @@ and its beta and alpha in one `LWConfig`, so one set-probability, one
 depend on the true label, so it is evaluated once per nonempty set (2^K - 1
 rows per instance) and shared by every label in the set. A batch holds at
 most MAX_BATCH_ROWS (label, set) rows, and at least one instance, so its
-memory is bounded whatever the instance count. The `derived_loss` hook
+memory is bounded whatever the instance count; across batches the check
+keeps only one float gap per instance. The `derived_loss` hook
 receives the same batched arguments as the closed form and goes through the
 same accumulation. The risk instances are drawn exactly as one-at-a-time
 checking would draw them, and every reported figure is bit-identical to it:

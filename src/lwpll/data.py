@@ -512,7 +512,7 @@ def _parse_csv(path: str):
         except ValueError as err:
             failed.append(err)
 
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         d, has_label = _read_header(fh, path)
         cells = feature_cells(_records(fh, path, d, has_label))
         # A file with no records never reaches loadtxt, which would warn.
@@ -600,7 +600,7 @@ def _raise_first_bad_line(path: str) -> None:
     A record fails its own checks, or its features do not parse or are not
     finite. Returns if every record is good.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         d, has_label = _read_header(fh, path)
         for lineno, text, _, _ in _records(fh, path, d, has_label):
             try:

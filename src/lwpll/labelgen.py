@@ -8,17 +8,14 @@ in [0, 1), so the candidate set
     P(S | y) = prod_{z in S, z != y} q[y][z] * prod_{z not in S} (1 - q[y][z])
 
 always contains y and assigns every label its own contamination rate. With
-``reject_full`` the all-classes set is resampled away and the remaining
-probabilities are renormalized by 1 - prod_{z != y} q[y][z], so the observed
-set always carries information.
+``reject_full`` the all-classes set gets probability 0 and every other set's
+probability is renormalized by 1 - prod_{z != y} q[y][z], so the observed
+set always carries information; the sampler draws from that law in one pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Bound on resampling attempts per instance under reject_full.
-RETRY_CAP = 10**6
 
 
 class GenerationModel:
@@ -29,8 +26,9 @@ class GenerationModel:
     or an (n, K, K) stack of such matrices, one model per instance of a
     batch; every matrix is validated. A stack answers `subset_probabilities`
     for all its models at once; sampling needs one model.
-    reject_full: when True, the full set {0..K-1} is rejected and resampled,
-    and `subset_probabilities` renormalizes accordingly.
+    reject_full: when True, the full set {0..K-1} never occurs and every
+    other set's probability is renormalized, in `subset_probabilities` and
+    in `sample_sets` alike.
     """
 
     def __init__(self, q, reject_full: bool = False):
@@ -120,23 +118,24 @@ class GenerationModel:
             raise ValueError("labels must be a 1-D integer array")
         if ((labels < 0) | (labels >= self.num_classes)).any():
             raise ValueError("labels out of range")
-        n = labels.shape[0]
+        n, k = labels.shape[0], self.num_classes
         rows = self.q[labels]
-        masks = rng.random((n, self.num_classes)) < rows
-        masks[np.arange(n), labels] = True
+        u = rng.random((n, k))
+        masks = u < rows  # q[y][y] = 1 puts the own label in
         if self.reject_full:
-            for _ in range(RETRY_CAP):
-                full = masks.all(axis=1)
-                if not full.any():
-                    break
-                redraw = rng.random((int(full.sum()), self.num_classes)) < rows[full]
-                redraw[np.arange(redraw.shape[0]), labels[full]] = True
-                masks[full] = redraw
-            else:
-                raise RuntimeError(
-                    f"gave up after {RETRY_CAP} bulk redraw rounds; "
-                    "the full set has probability too close to 1"
-                )
+            # Conditioned on "not the full set": while classes 0..z-1 are all
+            # in, class z joins with probability q_z (1 - t_{z+1}) / (1 - t_z),
+            # t_z = prod_{j >= z} q_j; after the first class left out the
+            # rest are the free draws. The own label gets exactly 1; the one
+            # 0/0, an own label in the last column, comes after the class
+            # before it, which joins with probability 0.
+            tails = np.cumprod(rows[:, ::-1], axis=1)[:, ::-1]
+            after = np.concatenate([tails[:, 1:], np.ones((n, 1))], axis=1)
+            with np.errstate(invalid="ignore"):
+                held = u < rows * (1.0 - after) / (1.0 - tails)
+            first_out = held.argmin(axis=1)[:, None]
+            cols = np.arange(k)
+            masks = (cols < first_out) | (masks & (cols > first_out))
         return masks
 
 

@@ -13,7 +13,6 @@ import pytest
 
 import lwpll.cli
 import lwpll.data
-import lwpll.labelgen
 from lwpll import Layer, NetworkParams, load_partial_csv, save_checkpoint
 from lwpll.cli import ConfigError, ExperimentConfig, main, parse_config_text
 
@@ -108,6 +107,29 @@ def test_fingerprint_ignores_output_dir_only(tmp_path):
     d = ExperimentConfig.from_file(write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0,2")))
     assert d.fingerprint() != a.fingerprint()
     assert len(a.fingerprint()) == 12
+
+
+def test_config_with_a_utf8_bom_reads_as_without_it(tmp_path):
+    path = tmp_path / "exp.cfg"
+    text = ("loss.beta = 0.5\n" + BASE_CONFIG).encode()
+    path.write_bytes(text)
+    plain = ExperimentConfig.from_file(str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    marked = ExperimentConfig.from_file(str(path))
+    assert marked.values == plain.values
+    assert marked.fingerprint() == plain.fingerprint()
+
+
+def test_empty_output_dir_is_rejected_by_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": ""})
+    assert main(["generate", "--config", cfg_path, "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "error: output.dir: must not be empty, got ''\n")
+    cfg_path = write_config(tmp_path, BASE_CONFIG, **{"output.dir": tmp_path / "out"})
+    for command in (["generate"], ["train"], ["sweep", "--beta", "0,1"]):
+        assert main(command + ["--config", cfg_path, "--out", "", "--quiet"]) == 2
+        assert capsys.readouterr() == ("", "error: --out must not be empty, got ''\n")
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
 
 
 # generate
@@ -623,24 +645,20 @@ def test_input_too_large_for_memory_exits_2_and_keeps_output_dir(tmp_path, capsy
         assert os.listdir(out) == ["kept.txt"]
 
 
-def test_reject_full_model_that_cannot_finish_is_bad_input(tmp_path, capsys, monkeypatch):
-    # With 2 classes and q near 1 nearly every draw is the full set; a small
-    # redraw cap makes the sampler give up at once rather than after 10**6 rounds.
-    monkeypatch.setattr(lwpll.labelgen, "RETRY_CAP", 3)
+def test_reject_full_model_with_full_set_mass_near_one_runs(tmp_path, capsys):
+    # With 2 classes and q near 1 the full set has mass 0.9999999, so every
+    # set drawn from the law without it is {y}.
     text = (BASE_CONFIG.replace("gaussian.classes = 3", "gaussian.classes = 2")
             .replace("generation.q = 0.3", "generation.q = 0.9999999")
             + "generation.reject_full = true\n")
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, text, **{"output.dir": out})
     for command in (["generate"], ["train"], ["sweep", "--beta", "0,1"]):
-        assert main(command + ["--config", cfg_path, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            "error: generation.kind='uniform', generation.q=0.9999999, "
-            "generation.reject_full=True: gave up after 3 bulk redraw rounds"
-        ), err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        assert main(command + ["--config", cfg_path, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+    (corpus_path,) = out.glob("*/corpus.csv")
+    corpus = load_partial_csv(str(corpus_path))
+    assert np.array_equal(corpus.partial_masks, np.eye(2, dtype=bool)[corpus.true_labels])
 
 
 def test_test_rows_that_cannot_be_scored_fail_train_sweep_and_eval(tmp_path, capsys):

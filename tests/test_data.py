@@ -256,6 +256,21 @@ def test_csv_undecodable_bytes_are_bad_cells_with_line_numbers(tmp_path):
         assert str(info.value).startswith(f"{path}{message}"), blob
 
 
+def test_csv_with_a_utf8_bom_reads_as_without_it(tmp_path):
+    # Spreadsheet programs save "CSV UTF-8" with a byte-order mark.
+    text = "f0,f1,candidates,true_label\n1,2,0|1,0\n3.5,-4,1|2,2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    a, b = load_partial_csv(str(plain)), load_partial_csv(str(marked))
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.partial_masks, b.partial_masks)
+    assert np.array_equal(a.true_labels, b.true_labels)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.replace("3.5", "x").encode())
+    with pytest.raises(ValueError, match=r":3: non-numeric feature"):
+        load_partial_csv(str(marked))
+
+
 def test_csv_candidate_masks_too_large_for_memory_name_the_file(tmp_path):
     # 2 x (10**15 + 1) bytes exceed any host's memory and the 128 TiB address
     # space of 4-level x86-64 paging, so the allocation fails everywhere.

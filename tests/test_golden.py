@@ -108,6 +108,12 @@ GOLDEN = {
         "corpus.csv.lwb": "030932d493a54f80141307ec3edf581e5cec972fbc2c83a99364cedd522296f9",
         "test.csv.lwb": "781b2da3c9cf830c9255e783ee24d96d6b6a1c7a5f6c78a2759ebfd68f48a542",
     },
+    "generate_reject_full": {
+        "corpus.csv": "d81a6818d1f47f7b69637822aad0646558a4e8f7e9ba0c97f8195eafe26832c5",
+        "test.csv": "ebc82c215da37f3f1a0258bada79fef4705cebc45142edbbf570f88dc2ac1ca9",
+        "corpus.csv.lwb": "ce873aab3b16fc22c6263aa9ba8613b099fea7835a5baa500d100b10845ef98a",
+        "test.csv.lwb": "781b2da3c9cf830c9255e783ee24d96d6b6a1c7a5f6c78a2759ebfd68f48a542",
+    },
     "train_cross_entropy": {
         "checkpoint_seed0.bin": "1d53fa3f08a9a87ec230c4d4b3c749a688cba3c1ab293ad024080d3bb65fb4e0",
         "checkpoint_seed1.bin": "1eab13951d7a290fae0eeb88b8650caef1078026fac8255578427040758d453b",
@@ -197,6 +203,11 @@ def run_and_hash(tmp_path, argv, extra=None, config=GOLDEN_CONFIG):
 
 def test_generate_bytes(tmp_path):
     assert run_and_hash(tmp_path, ["generate"]) == GOLDEN["generate"]
+
+
+def test_generate_reject_full_bytes(tmp_path):
+    got = run_and_hash(tmp_path, ["generate"], {"generation.reject_full": "true"})
+    assert got == GOLDEN["generate_reject_full"]
 
 
 @pytest.mark.parametrize("variant", sorted(TRAIN_VARIANTS))

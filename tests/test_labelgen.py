@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import lwpll.labelgen as labelgen
 from lwpll import GenerationModel, make_case, make_rng, make_uniform
 from lwpll.consistency import enumerate_subsets
 
@@ -266,13 +265,34 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_retry_cap_surfaces_degenerate_models(monkeypatch):
-    m = make_uniform(3, 0.9, reject_full=True)
-    monkeypatch.setattr(labelgen, "RETRY_CAP", 0)
-    with pytest.raises(RuntimeError):
-        m.sample_sets(np.array([0]), make_rng(1))
-    with pytest.raises(RuntimeError):
-        m.sample_sets(np.zeros(200, dtype=int), make_rng(1))
+def law_cases():
+    """(model, label) pairs covering random q matrices with zero rates, the
+    case-3 ring and a full-set mass near 1; the label first, middle and last."""
+    rng = make_rng(29)
+    for reject in (False, True):
+        for k in range(2, 7):
+            q = rng.random((k, k)) * 0.95
+            q[rng.random((k, k)) < 0.2] = 0.0
+            np.fill_diagonal(q, 1.0)
+            for y in sorted({0, k // 2, k - 1}):
+                yield GenerationModel(q, reject_full=reject), y
+        for y in (0, 3, 6):
+            yield make_case(7, 3, reject_full=reject), y
+        for y in (0, 1):
+            yield make_uniform(2, 0.9999999, reject_full=reject), y
+
+
+def test_sampled_set_counts_follow_subset_probabilities():
+    n = 100_000
+    for t, (model, y) in enumerate(law_cases()):
+        k = model.num_classes
+        masks = model.sample_sets(np.full(n, y), make_rng(31, stream=t))
+        subsets = enumerate_subsets(k)
+        counts = np.bincount(pack_bits(masks), minlength=2**k)[pack_bits(subsets)]
+        p = model.subset_probabilities(y, subsets)
+        assert counts[p == 0.0].sum() == 0, (k, y, model.reject_full)
+        sigma = np.sqrt(n * p * (1.0 - p))
+        assert (np.abs(counts - n * p) <= 4 * sigma).all(), (k, y, model.reject_full)
 
 
 # NaN entries and stacks of models
