@@ -173,10 +173,10 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 def save_partial_csv(dataset: Dataset, path: str) -> None:
     """Write features, candidate sets, and (if present) true labels as CSV.
 
-    Feature values are formatted in blocks of at most ``MAX_BLOCK_VALUES``,
-    and each block's records are written before the next block is formatted.
-    The bytes are hashed as they are written, and the binary sidecar
-    ``<path>.lwb`` (see "Formats") is written after the CSV.
+    Feature values are formatted in blocks of at most ``MAX_BLOCK_VALUES``;
+    each block's records are joined, then written and hashed for the stamp
+    with one call each, before the next block is formatted. The binary
+    sidecar ``<path>.lwb`` (see "Formats") is written after the CSV.
     """
     if dataset.partial_masks is None:
         raise ValueError("dataset has no candidate masks to save")
@@ -184,30 +184,26 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
     if d == 0:
         raise ValueError("dataset has no feature columns to save")
     has_label = dataset.true_labels is not None
-    header = [f"f{j}" for j in range(d)] + ["candidates"]
-    if has_label:
-        header.append("true_label")
+    header = [f"f{j}" for j in range(d)] + ["candidates"] + ["true_label"] * has_label
     values = np.ascontiguousarray(dataset.features, dtype=np.float64).reshape(-1)
     tails = _record_tails(dataset)
     stamp = hashlib.sha256()
     with open(path, "wb") as fh:
-
-        def write(chunk):
-            fh.write(chunk)
-            stamp.update(chunk)
-
-        write((",".join(header) + "\r\n").encode())
         for start in range(0, values.size, MAX_BLOCK_VALUES):
+            parts = [] if start else [(",".join(header) + "\r\n").encode()]
             text, widths = _format_fields(values[start : start + MAX_BLOCK_VALUES])
             text = memoryview(text)
             # A record's features end after every d-th field; a record cut
             # by the block's end is finished by the next block.
             pos = 0
             for end in np.cumsum(widths)[d - 1 - start % d :: d].tolist():
-                write(text[pos:end])
-                write(next(tails))
+                parts += (text[pos:end], next(tails))
                 pos = end
-            write(text[pos:])
+            parts.append(text[pos:])
+            chunk = b"".join(parts)
+            fh.write(chunk)
+            stamp.update(chunk)
+            del chunk  # not held while the next block is formatted
     masks = np.ascontiguousarray(dataset.partial_masks, dtype=bool)
     arrays = [values.astype("<f8", copy=False), masks.view(np.uint8)]
     if has_label:
@@ -246,37 +242,40 @@ def _record_tails(dataset: Dataset):
 # D = round(|x| * 10**(16 - E)), which lies in [1e16, 1e17). Dekker's exact
 # product gives that rounding without big integers. "%.17g" writes D in
 # fixed notation for E >= -4 and as d.ddde-0E below, and cuts trailing zeros
-# after the point, and the point when they were all zeros. So each value's
-# characters are its sign, its digits with the cut ones blanked, a point or
-# none, gathered by a layout that depends on E alone. Zeros take the layout
-# "0"; other values (|x| < 1e-6, subnormals among them, or |x| >= 1e16) are
-# formatted one at a time.
+# after the point, and the point when they were all zeros. D's leading digit
+# and two 8-digit halves, each made digit bytes in one uint64 word, go into a
+# source row with the sign, a point and constants; cut digits are 0 bytes,
+# found from the halves' highest nonzero byte. A layout that depends on E
+# alone copies each field out of its row. Zeros take the layout "0"; other
+# values (|x| < 1e-6, subnormals among them, or |x| >= 1e16) are formatted
+# one at a time.
 MAX_BLOCK_VALUES = 1 << 14
 
-# Byte columns of a value's source row, which the layouts gather from: the
-# sign, the 17 digits (leading digit first), the point, then constant
-# characters. A 0 byte (a positive sign, a cut digit or point, padding) is
-# dropped from the output.
-_SIGN, _DIGITS, _DOT, _ZERO, _EXP, _MINUS, _FIVE, _SIX, _COMMA, _PAD = (
-    2, 3, 20, 21, 22, 23, 24, 25, 26, 27,
+# Byte columns of the source row, four uint64 words: "e-056", padding, the
+# sign and the leading digit; digits 1-8; digits 9-16; a comma, "0", the
+# point, "000". A 0 byte (a positive sign, a cut digit or point, padding) is
+# dropped from the output. In this order a layout is a few runs of columns.
+_EXP, _MINUS, _ZERO, _FIVE, _SIX, _SIGN, _DIGITS, _COMMA, _BELOW_ONE, _DOT = (
+    0, 1, 2, 3, 4, 6, 7, 24, 25, 26,
 )
 _FIELD_BYTES = 25  # the longest "%.17g," field: "-1.7976931348623157e+308,"
 _MIN_EXP, _MAX_EXP = -6, 15
+# The first and last words, with the sign and point 0 and the leading digit "0".
+_FIRST_WORD = int.from_bytes(b"e-056\x00\x000", "little")
+_LAST_WORD = int.from_bytes(b",0\x00000\x00\x00", "little")
 
 
-def _layout(exponent: int) -> tuple[list[int], int]:
-    """Source columns of "%.17g" for a nonzero value with this exponent.
-
-    Also returns how many of the digits come before the point.
-    """
-    digits = [_DIGITS + j for j in range(17)]
+def _layout(exponent: int) -> list[int]:
+    """Source columns of "%.17g," for a nonzero value with this exponent."""
+    digits = list(range(_DIGITS, _DIGITS + 17))
     if exponent < -4:
         suffix = [_EXP, _MINUS, _ZERO, _FIVE if exponent == -5 else _SIX]
-        return digits[:1] + [_DOT] + digits[1:] + suffix, 1
-    if exponent < 0:
-        return [_ZERO, _DOT] + [_ZERO] * (-exponent - 1) + digits, 0
-    whole = exponent + 1
-    return digits[:whole] + [_DOT] + digits[whole:], whole
+        body = digits[:1] + [_DOT] + digits[1:] + suffix
+    elif exponent < 0:
+        body = list(range(_BELOW_ONE, _BELOW_ONE + 1 - exponent)) + digits
+    else:
+        body = digits[: exponent + 1] + [_DOT] + digits[exponent + 1 :]
+    return [_SIGN, *body, _COMMA]
 
 
 def _veltkamp(a):
@@ -298,31 +297,27 @@ def _scaled(magnitude, exponent, pow10):
 @functools.cache
 def _format_tables():
     """Lookup tables of `_format_fields`, built on first use."""
-    c = np.arange(10_000)
-    chunk_digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
-    chunk_chars = (chunk_digits + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
-    trailing_zeros = sum((c % 10**j == 0).astype(np.int8) for j in range(1, 5))
-    # Of the 16 digits after the leading one (digit 0), digit_masks[keep]
-    # keeps digit j only where j < keep.
-    kept = np.arange(1, 17) < np.arange(18)[:, None]
-    digit_masks = (kept * np.uint8(255)).view(np.uint32)
     # 10**0..10**22 are exact doubles; np.power would not promise that.
     pow10 = np.array([float(10**j) for j in range(23)])
     # Layout 0 is the empty one of values formatted one at a time, layout 1
     # is zero, and layout E - _MIN_EXP + 2 is decimal exponent E.
-    shapes = [_layout(e) for e in range(_MIN_EXP, _MAX_EXP + 1)]
-    layouts = [[], [_ZERO]] + [layout for layout, _ in shapes]
-    whole = np.array([0, 0] + [whole for _, whole in shapes])
-    columns = np.full((len(layouts), _FIELD_BYTES), _PAD)
-    widths = np.zeros(len(layouts), dtype=np.int64)
-    for i, layout in enumerate(layouts[1:], start=1):
-        columns[i, : len(layout) + 2] = [_SIGN, *layout, _COMMA]
-        # The characters that are never cut: all but the digits and point.
-        widths[i] = 1 + sum(col not in range(_DIGITS, _DOT + 1) for col in layout)
-    tables = (chunk_chars, trailing_zeros, digit_masks, pow10, columns, widths, whole)
-    for table in tables:
+    layouts = [[], [_SIGN, _ZERO, _COMMA], *map(_layout, range(_MIN_EXP, _MAX_EXP + 1))]
+    # Per layout: the characters all its values have (not the sign, digits or
+    # point), and its runs of consecutive columns as (offset, column, length).
+    digits, widths, runs = range(_DIGITS, _DIGITS + 17), [], []
+    for layout in layouts:
+        widths.append(sum(col not in (_SIGN, _DOT, *digits) for col in layout))
+        starts = [j for j, col in enumerate(layout) if col - 1 not in layout[j - 1 : j]]
+        ends = starts[1:] + [len(layout)]
+        runs.append([(j, layout[j], end - j) for j, end in zip(starts, ends)])
+    widths = np.array(widths, dtype=np.uint8)
+    # zeros[h, keep] is "0" in the bytes of half h that hold one of the first
+    # `keep` significant digits, and 0 in the others.
+    zeros = np.array([[int.from_bytes(b"0" * min(max(keep - first, 0), 8), "little")
+                       for keep in range(18)] for first in (1, 9)], dtype=np.uint64)
+    for table in (pow10, widths, zeros):
         table.flags.writeable = False
-    return tables
+    return pow10, runs, widths, zeros
 
 
 def _format_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +326,19 @@ def _format_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The bytes equal Python's "%.17g" for every finite float64.
     """
     layout, lengths, source = _decompose(values)
-    fields = _apply_layouts(layout, source)
+    # Sort the values by layout (stable), copy each layout's runs, then unsort.
+    order = np.argsort(layout, kind="stable")
+    rows = source.take(order, axis=0).view(np.uint8)
+    fields = np.zeros((layout.size, _FIELD_BYTES), dtype=np.uint8)
+    start = 0
+    for runs, count in zip(_format_tables()[1], np.bincount(layout).tolist()):
+        group = slice(start, start + count)
+        for at, first, size in runs:
+            fields[group, at : at + size] = rows[group, first : first + size]
+        start += count
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(layout.size)
+    fields = fields.take(inverse, axis=0)
     others = np.flatnonzero(layout == 0)
     if others.size:
         texts = [b"%.17g," % v for v in values[others].tolist()]
@@ -343,9 +350,7 @@ def _format_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _decompose(values):
     """Each value's layout, field length and source row (see the layouts)."""
-    chunk_chars, trailing_zeros, digit_masks, pow10, _, widths, whole_digits = (
-        _format_tables()
-    )
+    pow10, _, widths, zeros = _format_tables()
     negative = np.signbit(values)
     magnitude = np.abs(values)
     fast = (magnitude >= 1e-6) & (magnitude < 1e16)
@@ -368,50 +373,45 @@ def _decompose(values):
     # hi is an even integer here, so rounding lo half to even rounds hi + lo
     # half to even. The sum stays below 1e17: no double in [1e-6, 1e16)
     # rounds up to the next power of ten at 17 digits.
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    lead, rest = np.divmod(digits, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    chunks = np.empty((values.size, 4), dtype=np.int32)
-    np.divmod(high, 10**4, out=(chunks[:, 0], chunks[:, 1]))
-    np.divmod(low, 10**4, out=(chunks[:, 2], chunks[:, 3]))
-    tz = trailing_zeros.take(chunks)  # 4 for an all-zero chunk
-    cut = tz[:, 3] + (tz[:, 3] == 4) * (
-        tz[:, 2] + (tz[:, 2] == 4) * (tz[:, 1] + (tz[:, 1] == 4) * tz[:, 0])
-    )
-    layout = np.where(fast, exponent - _MIN_EXP + 2, values == 0).astype(np.uint8)
-    # The digits before the point stay; of those after it, the trailing
-    # zeros and, with no digit left, the point go.
-    whole = whole_digits[layout]
-    keep = np.maximum(17 - cut, whole)
+    digits = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)).view(np.uint64)
+    lead = digits // 10**16
+    digits -= lead * 10**16
+    halves = np.empty((2, values.size), dtype=np.uint64)
+    np.floor_divide(digits, 10**8, out=halves[0])
+    np.subtract(digits, halves[0] * 10**8, out=halves[1])
+    # SWAR: each step splits every lane x of a word into q = x // divisor,
+    # from a multiply and shift exact below the bound noted, in its low half
+    # and x - q * divisor in its high half; the 8 digits end as bytes 0-9.
+    quotient = np.empty_like(halves)
+    for multiplier, shift, mask, divisor, width in (
+        (109951163, 40, 0x3FFF, 10_000, 32),  # below 10**8
+        (5243, 19, 0x0000007F0000007F, 100, 16),  # below 43699
+        (103, 10, 0x000F000F000F000F, 10, 8),  # below 179
+    ):
+        np.multiply(halves, multiplier, out=quotient)
+        quotient >>= shift
+        quotient &= mask
+        quotient *= (divisor << width) - 1
+        halves <<= width
+        halves -= quotient
+    # The last nonzero digit is in the highest nonzero byte of the 16-byte
+    # number halves[0] + halves[1] * 2**64, whose bit length frexp gives. No
+    # byte exceeds 9, so no float here rounds up into the next byte.
+    top = halves.astype(np.float64)
+    significant = (np.frexp(top[1] * 2.0**64 + top[0])[1] + 15) >> 3
+    layout = np.where(fast, exponent + (2 - _MIN_EXP), values == 0).astype(np.uint8)
+    # The digits before the point (E + 1, or one in d.ddde-0E) stay; of those
+    # after it, the trailing zeros and, with no digit left, the point go.
+    whole = np.maximum(exponent + 1, exponent < -4)
+    keep = np.maximum(significant, whole)
     dot = keep > whole
-    lengths = widths[layout] + negative + fast * (keep + dot)
-
-    source = np.empty((values.size, 7), dtype=np.uint32)
-    source[:, 1:5] = chunk_chars.take(chunks) & digit_masks.take(keep, axis=0)
-    source_bytes = source.view(np.uint8)
-    source_bytes[:, _SIGN] = negative.view(np.uint8) * np.uint8(ord("-"))
-    source_bytes[:, _DIGITS] = lead + ord("0")
-    source_bytes[:, _DOT] = dot.view(np.uint8) * np.uint8(ord("."))
-    constants = np.frombuffer(b"0e-56,\0", dtype=np.uint8)  # _ZERO.._PAD
-    source_bytes[:, _ZERO : _PAD + 1] = constants
+    lengths = widths.take(layout) + negative + fast * (keep + dot)
+    source = np.empty((values.size, 4), dtype=np.uint64)
+    source[:, 0] = lead << 56 | negative * np.uint64(ord("-") << 48) | _FIRST_WORD
+    for column, (half, kept_zeros) in enumerate(zip(halves, zeros), start=1):
+        np.bitwise_or(half, kept_zeros.take(keep), out=source[:, column])
+    source[:, 3] = dot * np.uint64(ord(".") << 16) | _LAST_WORD
     return layout, lengths, source
-
-
-def _apply_layouts(layout, source):
-    """Apply each layout to its values' source rows as one column gather."""
-    columns = _format_tables()[4]  # each layout's source columns
-    order = np.argsort(layout, kind="stable")
-    rows = source.take(order, axis=0).view(np.uint8)
-    fields = np.empty((layout.size, _FIELD_BYTES), dtype=np.uint8)
-    start = 0
-    for i, count in enumerate(np.bincount(layout).tolist()):
-        if count:
-            group = slice(start, start + count)
-            fields[group] = rows[group, columns[i]]
-            start += count
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(layout.size)
-    return fields.take(inverse, axis=0)
 
 
 def _parse_int(text: str, what: str, where: str) -> int:

@@ -59,6 +59,21 @@ class GenerationModel:
         off = off.reshape(self.q.shape[:-1] + (k - 1,))
         return off.prod(axis=-1)[..., y]
 
+    def _labels(self, y, rows: int | None = None) -> np.ndarray:
+        """y checked as class labels, the one check of both methods: an
+        integer dtype, every label in [0, K), and a 1-D vector (of `rows`
+        labels when rows is given; then a single label, for every row, also
+        passes)."""
+        labels = np.asarray(y)
+        one_per_row = labels.ndim == 1 if rows is None else labels.shape in ((rows,), ())
+        if labels.dtype.kind not in "iu" or not one_per_row:
+            raise ValueError(
+                f"labels must be one integer per row, got {labels.dtype} {labels.shape}"
+            )
+        if ((labels < 0) | (labels >= self.num_classes)).any():
+            raise ValueError("labels out of range")
+        return labels
+
     def subset_probabilities(self, y, subsets) -> np.ndarray:
         """P(candidate set = row | true label) for a stack of boolean rows.
 
@@ -79,17 +94,7 @@ class GenerationModel:
             raise ValueError(
                 f"subsets must be (m, {self.num_classes}) boolean, got {masks.shape}"
             )
-        labels = np.asarray(y)
-        if labels.ndim == 0:
-            labels = int(labels)
-            if not 0 <= labels < self.num_classes:
-                raise ValueError(f"label {labels} out of range")
-        elif labels.shape != (masks.shape[0],) or labels.dtype.kind not in "iu":
-            raise ValueError(
-                f"labels must be one integer per row, got {labels.dtype} {labels.shape}"
-            )
-        elif ((labels < 0) | (labels >= self.num_classes)).any():
-            raise ValueError("labels out of range")
+        labels = self._labels(y, masks.shape[0])
         labels = np.broadcast_to(np.asarray(labels, dtype=np.intp), masks.shape[:1])
         # Row y of the table is (1 - q[y], q[y]), so the factor of class z in
         # a row with label y is entry 2Ky + K + z (z in the set) or 2Ky + z
@@ -113,11 +118,7 @@ class GenerationModel:
         """Draw candidate sets for a label vector; returns (n, K) boolean masks."""
         if self.q.ndim != 2:
             raise ValueError("sampling needs one model, not a stack of them")
-        labels = np.asarray(labels)
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-D integer array")
-        if ((labels < 0) | (labels >= self.num_classes)).any():
-            raise ValueError("labels out of range")
+        labels = self._labels(labels)
         n, k = labels.shape[0], self.num_classes
         rows = self.q[labels]
         u = rng.random((n, k))

@@ -653,6 +653,53 @@ def test_formatter_property(values):
     assert_formats_as_percent_17g(values)
 
 
+def seventeen_digits(x):
+    """x's decimal exponent, and how many of the 17 significant digits that
+    "%.17g" rounds it to are trailing zeros."""
+    mantissa, exponent = ("%.16e" % x).split("e")
+    digits = mantissa.lstrip("-").replace(".", "")
+    return int(exponent), len(digits) - len(digits.rstrip("0"))
+
+
+def test_formatter_cuts_every_count_of_trailing_zeros_on_every_path():
+    # The cut is read off the highest nonzero digit byte of the two 8-digit
+    # halves after the leading digit, so it turns on which byte of which
+    # half holds the last nonzero digit; random bit patterns almost never
+    # end in more than two zeros. For each exponent of the arithmetic path
+    # (-6..15) and just off it, and each count j of trailing zeros, take the
+    # double nearest a random 17-digit number ending in j zeros until one
+    # rounds back to such digits.
+    rng = make_rng(419)
+    found = {}
+    for e in range(-8, 18):
+        for j in range(17):
+            for _ in range(200):
+                d = int(rng.integers(10 ** (16 - j), 10 ** (17 - j)))
+                d += d % 10 == 0
+                x = float(Fraction(d * 10**j) * Fraction(10) ** (e - 16))
+                if seventeen_digits(x) == (e, j):
+                    found[e, j] = x
+                    break
+    # No double from 1e-7 to 1e-4 rounds to a single digit and 16 zeros.
+    missing = {(e, j) for e in range(-8, 18) for j in range(17)} - found.keys()
+    assert missing == {(-7, 16), (-6, 16), (-5, 16)}
+    values = np.array(sorted(found.values()))
+    assert_formats_as_percent_17g(np.concatenate([values, -values, [0.0, -0.0]]))
+
+
+def test_csv_save_peaks_at_a_few_blocks_whatever_the_row_count(tmp_path):
+    # Each block is formatted, written and hashed before the next, and the
+    # sidecar is written from views of the input, so the peak above the
+    # input stays at a few block-sized temporaries as n grows.
+    peaks = []
+    for n in (1000, 4000):
+        ds = random_dataset(make_rng(337), n=n, d=784, k=10)
+        _, peak = traced_peak(lambda: save_partial_csv(ds, str(tmp_path / f"{n}.csv")))
+        peaks.append(peak)
+    assert max(peaks) < 5 * 2**20
+    assert peaks[1] < peaks[0] + 2**16
+
+
 def test_csv_bytes_match_the_reference_writer_across_blocks(tmp_path):
     rng = make_rng(409)
     # 25 x 784 values span two blocks, the second starting inside a record;

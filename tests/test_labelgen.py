@@ -200,6 +200,17 @@ def test_sample_rejects_bad_label():
         m.sample_sets(np.array([0, 5]), rng)
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
+def test_float_and_bool_labels_fail_one_check_in_both_methods(labels):
+    # Both methods take labels through one check, so float or bool labels are
+    # a ValueError from either, not an IndexError from sample_sets' indexing.
+    m = make_uniform(3, 0.4)
+    with pytest.raises(ValueError, match="one integer per row, got"):
+        m.sample_sets(labels, make_rng(3))
+    with pytest.raises(ValueError, match="one integer per row, got"):
+        m.subset_probabilities(labels, enumerate_subsets(3)[:2])
+
+
 def test_sample_set_frequencies_uniform_half():
     # all 8 sets containing y should be equally likely
     m = make_uniform(4, 0.5)
