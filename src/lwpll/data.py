@@ -15,17 +15,24 @@ Formats:
   records and keeps no file text, so it peaks at about the feature matrix
   plus one record: a 10,000-row, d = 784 file of 158 MB parses with a
   tracemalloc peak of 72 MB for its 63 MB matrix.
-- Binary sidecar ``<csv path>.lwb``, which `save_partial_csv` writes beside
-  each CSV: b"LWPB", u32 version, u64 n, u64 d, u64 K, u8 has_label, the
-  SHA-256 of the CSV's bytes, the SHA-256 of the payload, then the payload:
-  features as float64 row-major, masks as u8 (n x K), and labels as int64
-  when has_label is 1; little-endian throughout. The loader uses it in place
-  of the parse only if (1) the header is well formed and the file's size is
-  the one it implies, checked before anything is allocated; (2) the payload,
-  read into its arrays, hashes to its digest, with every mask byte 0 or 1;
-  and (3) the CSV, read in 64 KiB blocks, hashes to its stamp. Otherwise the
-  CSV is parsed as if there were no sidecar, so deleting one only costs load
-  time.
+- Binary frame, for the CSV sidecar and the checkpoint: a 4-byte magic,
+  u32 version, the format's header, the SHA-256 of the payload, then the
+  payload, arrays whose shapes the header gives; little-endian throughout.
+  The reader checks the magic and version, then the file's size against
+  the header before it allocates anything, then hashes the arrays as it
+  reads them in; ValueError names a file that fails a check.
+- Binary sidecar ``<csv path>.lwb``, written beside each CSV by
+  `save_partial_csv`: magic b"LWPB", version 1; header u64 n, u64 d, u64 K,
+  u8 has_label and the SHA-256 of the CSV's bytes; payload the features
+  (float64, n x d), masks (u8, n x K) and, if has_label is 1, labels
+  (int64). The loader uses it in place of the parse only if the frame
+  passes its checks, its arrays make a valid `Dataset` of n >= 1 rows with
+  mask bytes 0 or 1, and the CSV hashes to the stamp. Otherwise the CSV is
+  parsed as if there were no sidecar, so deleting one only costs load time.
+- Checkpoint (`model.save_checkpoint`): magic b"LWNN", version 2; header
+  u32 layer count, then per layer u32 out, u32 in and a u8 activation code;
+  payload each layer's weight matrix (float64, out x in), then its bias.
+  Version 1 had no payload digest and is rejected with its version named.
 
 Class indices are zero-based everywhere, in files and in memory.
 """
@@ -35,6 +42,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -46,12 +54,13 @@ from .rng import make_rng
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# The binary sidecar of a partial-label CSV (see "Formats").
+# The binary frame, and the sidecar of a partial-label CSV (see "Formats").
+_VERSION = struct.Struct("<I")
+_DIGEST = struct.Struct("32s")
 _SIDECAR_SUFFIX = ".lwb"
 _SIDECAR_MAGIC = b"LWPB"
 _SIDECAR_VERSION = 1
-_SIDECAR_HEAD = struct.Struct("<4sIQQQB32s32s")
-_STAMP_BLOCK = 1 << 16
+_SIDECAR_HEAD = struct.Struct("<QQQB32s")
 
 
 @dataclass(frozen=True)
@@ -208,21 +217,60 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
     arrays = [values.astype("<f8", copy=False), masks.view(np.uint8)]
     if has_label:
         arrays.append(np.ascontiguousarray(dataset.true_labels, dtype="<i8"))
-    payload = [_bytes_of(array) for array in arrays]
-    digest = hashlib.sha256()
-    for view in payload:
-        digest.update(view)
-    with open(f"{path}{_SIDECAR_SUFFIX}", "wb") as fh:
-        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, len(masks), d,
-                                    masks.shape[1], has_label, stamp.digest(),
-                                    digest.digest()))
-        for view in payload:
-            fh.write(view)
+    header = _SIDECAR_HEAD.pack(len(masks), d, masks.shape[1], has_label, stamp.digest())
+    _write_frame(f"{path}{_SIDECAR_SUFFIX}", _SIDECAR_MAGIC, _SIDECAR_VERSION, header, arrays)
 
 
 def _bytes_of(array: np.ndarray) -> memoryview:
     """The bytes of a C-contiguous array, without a copy."""
     return memoryview(array.reshape(-1).view(np.uint8))
+
+
+def _write_frame(path: str, magic: bytes, version: int, header: bytes, arrays) -> None:
+    """Write a frame (see "Formats"): `header`, then the C-contiguous,
+    little-endian `arrays` as the payload."""
+    payload = [_bytes_of(array) for array in arrays]
+    digest = hashlib.sha256()
+    for view in payload:
+        digest.update(view)
+    with open(path, "wb") as fh:
+        fh.write(magic + _VERSION.pack(version) + header + digest.digest())
+        fh.writelines(payload)
+
+
+def _read_frame(path: str, magic: bytes, version: int, what: str, read_header):
+    """The header values and payload arrays of the frame in `path`, or
+    ValueError naming `path` (a `what`) and the first check that fails.
+    `read_header(take)` unpacks the format's header from `take(a_struct)` and
+    returns its values and each payload array's (shape, dtype)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(fields: struct.Struct) -> tuple:
+            if fh.tell() + fields.size > size:
+                raise ValueError(f"{path}: truncated {what}")
+            return fields.unpack(fh.read(fields.size))
+
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not a {what} (bad magic)")
+        (found,) = take(_VERSION)
+        if found != version:
+            raise ValueError(f"{path}: unsupported {what} version {found}")
+        header, layout = read_header(take)
+        (digest,) = take(_DIGEST)
+        extra = size - fh.tell() - sum(np.dtype(dtype).itemsize * math.prod(shape)
+                                       for shape, dtype in layout)
+        if extra:
+            raise ValueError(f"{path}: truncated {what}" if extra < 0
+                             else f"{path}: {extra} trailing bytes")
+        arrays = [np.empty(shape, dtype) for shape, dtype in layout]
+        check = hashlib.sha256()
+        for view in map(_bytes_of, arrays):  # bytes a short read leaves fail the digest
+            fh.readinto(view)
+            check.update(view)
+    if check.digest() != digest:
+        raise ValueError(f"{path}: {what} payload does not match its digest")
+    return header, arrays
 
 
 def _record_tails(dataset: Dataset):
@@ -465,36 +513,25 @@ def _read_sidecar(path: str):
     """The features, (row, class) candidate pairs and labels (None without a
     true-label column) in the sidecar of `path`, or None unless it passes
     its checks. The payload is read only into the arrays it returns."""
+
+    def layout(take):
+        n, d, k, has_label, stamp = take(_SIDECAR_HEAD)
+        return (k, has_label, stamp), [((n, d), "<f8"), ((n, k), "u1"), ((n * has_label,), "<i8")]
+
     try:
-        with open(f"{path}{_SIDECAR_SUFFIX}", "rb") as fh:
-            head = fh.read(_SIDECAR_HEAD.size)
-            if len(head) != _SIDECAR_HEAD.size:
-                return None
-            magic, version, n, d, k, has_label, stamp, digest = _SIDECAR_HEAD.unpack(head)
-            size = len(head) + n * (8 * d + k + 8 * has_label)
-            if ((magic, version) != (_SIDECAR_MAGIC, _SIDECAR_VERSION) or has_label > 1
-                    or not n or os.fstat(fh.fileno()).st_size != size):
-                return None
-            features = np.empty((n, d), dtype="<f8")
-            masks = np.empty((n, k), dtype=np.uint8)
-            labels = np.empty(n * has_label, dtype="<i8")
-            check = hashlib.sha256()
-            for array in (features, masks, labels):
-                view = _bytes_of(array)
-                if fh.readinto(view) != len(view):
-                    return None
-                check.update(view)
-        if check.digest() != digest or (masks > 1).any():
+        (k, has_label, stamp), (features, masks, labels) = _read_frame(
+            f"{path}{_SIDECAR_SUFFIX}", _SIDECAR_MAGIC, _SIDECAR_VERSION, "sidecar", layout)
+        labels = labels if has_label else None
+        if not len(features) or (masks > 1).any():
             return None
-        check, block = hashlib.sha256(), bytearray(_STAMP_BLOCK)
+        # Arrays that make no valid dataset (has_label > 1 among them) raise.
+        Dataset(features, k, labels, masks.view(bool))
         with open(path, "rb") as fh:
-            while count := fh.readinto(block):
-                check.update(memoryview(block)[:count])
-        if check.digest() != stamp:
-            return None
-    except OSError:
+            if hashlib.file_digest(fh, "sha256").digest() != stamp:
+                return None
+    except (OSError, ValueError):
         return None
-    return (features, *np.nonzero(masks), labels if has_label else None)
+    return (features, *np.nonzero(masks), labels)
 
 
 def _parse_csv(path: str):

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, split_indices, take
+from .data import Dataset, _read_frame, _write_frame, split_indices, take
 from .losses import LWConfig, lw_loss_gradient_batch
 from .rng import make_rng
 from .weights import init_weights, update_weights
 
 _CHECKPOINT_MAGIC = b"LWNN"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+_LAYER_COUNT = struct.Struct("<I")
+_LAYER_ENTRY = struct.Struct("<IIB")  # out, in, activation code
 _ACTIVATION_CODES = {"identity": 0, "relu": 1}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
@@ -357,82 +359,42 @@ def train(
 
 
 def save_checkpoint(params: NetworkParams, path: str) -> None:
-    """Flat binary: magic, version, layer table, then float64 LE parameters.
-
-    Layout: b"LWNN", u32 version, u32 layer count, per layer (u32 out,
-    u32 in, u8 activation code), then per layer the weight matrix row-major
-    and the bias vector, all little-endian float64.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(params.layers)))
-        for layer in params.layers:
-            fh.write(
-                struct.pack(
-                    "<IIB",
-                    layer.W.shape[0],
-                    layer.W.shape[1],
-                    _ACTIVATION_CODES[layer.activation],
-                )
-            )
-        for layer in params.layers:
-            fh.write(np.ascontiguousarray(layer.W, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
+    """Write the network as a checkpoint (see `lwpll.data`'s "Formats")."""
+    table = [_LAYER_ENTRY.pack(*l.W.shape, _ACTIVATION_CODES[l.activation]) for l in params.layers]
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for l in params.layers for a in (l.W, l.b)]
+    header = _LAYER_COUNT.pack(len(table)) + b"".join(table)
+    _write_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, header, arrays)
 
 
 def load_checkpoint(path: str) -> NetworkParams:
-    """Inverse of `save_checkpoint`, validating magic, version, and size.
+    """Inverse of `save_checkpoint`. Besides the frame's checks, rejects a network
+    that cannot score: no layers, a width of 0, an input width that is not the
+    previous layer's output, 1 output, or a non-finite weight or bias."""
 
-    Also rejects a network that cannot score: no layers, a layer of width 0,
-    a layer whose input width is not the previous layer's output width, a
-    last layer with fewer than 2 outputs (classes), or a non-finite weight
-    or bias.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated checkpoint")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if count == 0:
-        raise ValueError(f"{path}: checkpoint has no layers")
-    offset = 12
-    shapes = []
-    for i in range(count):
-        if offset + 9 > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        out_w, in_w, code = struct.unpack_from("<IIB", blob, offset)
-        offset += 9
-        if code not in _ACTIVATION_NAMES:
-            raise ValueError(f"{path}: unknown activation code {code}")
-        if out_w == 0 or in_w == 0:
-            raise ValueError(f"{path}: layer {i} has width 0 ({out_w}x{in_w})")
-        if shapes and in_w != shapes[-1][0]:
-            raise ValueError(
-                f"{path}: layer {i} takes {in_w} inputs but layer {i - 1} "
-                f"gives {shapes[-1][0]}"
-            )
-        shapes.append((out_w, in_w, _ACTIVATION_NAMES[code]))
-    if shapes[-1][0] == 1:
-        raise ValueError(f"{path}: last layer has 1 output; a classifier needs at least 2")
-    layers = []
-    for out_w, in_w, act in shapes:
-        n_w, n_b = out_w * in_w, out_w
-        need = 8 * (n_w + n_b)
-        if offset + need > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        W = np.frombuffer(blob, dtype="<f8", count=n_w, offset=offset).reshape(
-            out_w, in_w
-        )
-        offset += 8 * n_w
-        b = np.frombuffer(blob, dtype="<f8", count=n_b, offset=offset)
-        offset += 8 * n_b
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise ValueError(f"{path}: layer {len(layers)} has non-finite parameters")
-        layers.append(Layer(W=W.copy(), b=b.copy(), activation=act))
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
-    return NetworkParams(layers)
+    def layer_table(take):
+        (count,) = take(_LAYER_COUNT)
+        if count == 0:
+            raise ValueError(f"{path}: checkpoint has no layers")
+        shapes, activations = [], []
+        for i in range(count):
+            out_w, in_w, code = take(_LAYER_ENTRY)
+            if code not in _ACTIVATION_NAMES:
+                raise ValueError(f"{path}: unknown activation code {code}")
+            if out_w == 0 or in_w == 0:
+                raise ValueError(f"{path}: layer {i} has width 0 ({out_w}x{in_w})")
+            if shapes and in_w != shapes[-1][0]:
+                raise ValueError(f"{path}: layer {i} takes {in_w} inputs but layer {i - 1} "
+                                 f"gives {shapes[-1][0]}")
+            shapes += [(out_w, in_w), (out_w,)]  # W's, then b's: shapes[-1][0] is out_w
+            activations.append(_ACTIVATION_NAMES[code])
+        if shapes[-1] == (1,):
+            raise ValueError(f"{path}: last layer has 1 output; a classifier needs at least 2")
+        return activations, [(shape, "<f8") for shape in shapes]
+
+    activations, arrays = _read_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+                                      "checkpoint", layer_table)
+    for i, array in enumerate(arrays):  # each layer's W, then its b
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: layer {i // 2} has non-finite parameters")
+    return NetworkParams([Layer(W=W, b=b, activation=act)
+                          for W, b, act in zip(arrays[::2], arrays[1::2], activations)])

@@ -19,17 +19,6 @@ def init_weights(masks) -> np.ndarray:
     return update_weights(masks, np.zeros(np.shape(masks)))
 
 
-def _side_softmax(scores: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """Softmax of scores restricted to `side`; zeros where side is empty."""
-    peak = np.where(side, scores, -np.inf).max(axis=1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    # A gap beyond the float range overflows to -inf, and exp gives its exact 0.
-    with np.errstate(over="ignore"):
-        e = np.where(side, np.exp(np.where(side, scores, peak) - peak), 0.0)
-    tot = e.sum(axis=1, keepdims=True)
-    return np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
-
-
 def update_weights(masks, scores) -> np.ndarray:
     """Weights (n, K) from scores: a softmax within each side of the candidate
     masks, which must be 2-D with every set nonempty; the scores must be finite."""
@@ -43,7 +32,16 @@ def update_weights(masks, scores) -> np.ndarray:
         raise ValueError(f"scores shape {g.shape} does not match masks {m.shape}")
     if not np.isfinite(g).all():
         raise ValueError("scores must be finite")
-    return _side_softmax(g, m) + _side_softmax(g, ~m)
+    # Each entry takes its side's peak, sum and so softmax; an empty side's
+    # -inf peak and 0 sum are never read.
+    peak_in = np.where(m, g, -np.inf).max(axis=1, keepdims=True)
+    peak_out = np.where(m, -np.inf, g).max(axis=1, keepdims=True)
+    # A gap beyond the float range overflows to -inf, and exp gives its exact 0.
+    with np.errstate(over="ignore"):
+        e = np.exp(g - np.where(m, peak_in, peak_out))
+    total_in = np.where(m, e, 0.0).sum(axis=1, keepdims=True)
+    total_out = np.where(m, 0.0, e).sum(axis=1, keepdims=True)
+    return e / np.where(m, total_in, total_out)
 
 
 def partition_sums(weights, masks) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ import pytest
 
 import lwpll.cli
 import lwpll.data
-from lwpll import Layer, NetworkParams, load_partial_csv, save_checkpoint
+from lwpll import (Layer, NetworkParams, init_network, load_partial_csv, make_rng, network_widths,
+                   save_checkpoint)
 from lwpll.cli import ConfigError, ExperimentConfig, main, parse_config_text
 
 BASE_CONFIG = """
@@ -579,6 +580,34 @@ def test_eval_rejects_a_checkpoint_that_cannot_score_with_exit_2(tmp_path, capsy
         assert captured.out == "", name
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), (name, lines)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_eval_rejects_a_checkpoint_with_any_byte_flipped_with_exit_2(tmp_path, capsys, arch):
+    params = init_network(network_widths(arch, 2, 3, hidden=2), make_rng(173))
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("f0,f1,candidates,true_label\n1.0,2.0,0,0\n")
+    path = tmp_path / "net.bin"
+    argv = ["eval", "--checkpoint", str(path), "--csv", str(good_csv),
+            "--confusion", str(tmp_path / "confusion.csv"), "--quiet"]
+    save_checkpoint(params, path)
+    blob = path.read_bytes()
+    assert main(argv) == 0
+    # Every byte of the header, the layer table, the payload digest and the payload.
+    for at in range(len(blob)):
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :])
+        capsys.readouterr()
+        assert main(argv) == 2, at
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, (at, captured)
+        assert lines[0].startswith(f"error: {path}: "), (at, lines)
+    # The same network as a version-1 file: no payload digest after the layer table.
+    table_end = 12 + 9 * len(params.layers)
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:table_end] + blob[table_end + 32 :])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 1\n"
 
 
 def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):

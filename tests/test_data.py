@@ -491,6 +491,39 @@ def claim_2_40_rows(blob):
     struct.pack_into("<Q", blob, ROWS_AT, 1 << 40)
 
 
+# Payloads that pass both digests but are no valid dataset: each edit
+# re-stamps the payload digest, and the CSV is left as written.
+CLASSES_AT = 24
+
+
+def restamped(change):
+    def apply(blob):
+        n, d, k = struct.unpack_from("<QQQ", blob, ROWS_AT)
+        change(blob, SIDECAR_HEAD + 8 * n * d, n, k)  # where the masks start
+        blob[PAYLOAD_DIGEST_AT:SIDECAR_HEAD] = hashlib.sha256(blob[SIDECAR_HEAD:]).digest()
+    return apply
+
+
+def nan_feature(blob, masks_at, n, k):
+    struct.pack_into("<d", blob, SIDECAR_HEAD, float("nan"))
+
+
+def empty_candidate_set(blob, masks_at, n, k):
+    blob[masks_at : masks_at + k] = bytes(k)
+
+
+def label_outside_its_set(blob, masks_at, n, k):
+    """Move the first row's true label out of its set, which stays nonempty."""
+    (label,) = struct.unpack_from("<q", blob, masks_at + n * k)
+    blob[masks_at + label] = 0
+    blob[masks_at + (label + 1) % k] = 1
+
+
+def zero_classes(blob, masks_at, n, k):
+    struct.pack_into("<Q", blob, CLASSES_AT, 0)
+    del blob[masks_at : masks_at + n * k]
+
+
 def edit(which, change):
     """Apply `change` to a bytearray of the CSV's or the sidecar's bytes."""
     def apply(csv, sidecar):
@@ -527,6 +560,11 @@ SIDECAR_CASES = {
     "sidecar_mask_byte_two": (edit("sidecar", mask_byte_two), {}, False),
     "sidecar_claims_2_40_rows": (edit("sidecar", claim_2_40_rows), {}, False),
     "sidecar_unreadable": (make_unreadable, {}, False),
+    "sidecar_nan_feature": (edit("sidecar", restamped(nan_feature)), {}, False),
+    "sidecar_empty_candidate_set": (edit("sidecar", restamped(empty_candidate_set)), {}, False),
+    "sidecar_label_outside_its_set": (edit("sidecar", restamped(label_outside_its_set)), {},
+                                      False),
+    "sidecar_zero_classes": (edit("sidecar", restamped(zero_classes)), {}, False),
 }
 
 

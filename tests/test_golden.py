@@ -115,38 +115,38 @@ GOLDEN = {
         "test.csv.lwb": "781b2da3c9cf830c9255e783ee24d96d6b6a1c7a5f6c78a2759ebfd68f48a542",
     },
     "train_cross_entropy": {
-        "checkpoint_seed0.bin": "1d53fa3f08a9a87ec230c4d4b3c749a688cba3c1ab293ad024080d3bb65fb4e0",
-        "checkpoint_seed1.bin": "1eab13951d7a290fae0eeb88b8650caef1078026fac8255578427040758d453b",
+        "checkpoint_seed0.bin": "37e4145dbcda363d5ace331784de1ba760967c963c88bfb4cf46e7b8f5e52abb",
+        "checkpoint_seed1.bin": "014522f755a1f3ec7d68ea4c9950c8dcf9af9e73267e3cef0a085897096b4c3d",
         "metrics_seed0.csv": "54deff62b2a713064d0aa359300011a9bf2ce66433701ead7cb73af61fd4c9bc",
         "metrics_seed1.csv": "6d7e38dbbe90ce2c0df848964c380626e6e2b14003e1264557ac34c2c58298db",
     },
     "train_linear_sigmoid": {
-        "checkpoint_seed0.bin": "0df277ab4649fdd1d8f0938a57c6af289e2f8210151a5a895cb92bb6bd64e67b",
-        "checkpoint_seed1.bin": "083c649aabb794607c8428ec900d85b38be531de75b58fa221ef73b6f600791a",
+        "checkpoint_seed0.bin": "1ffc0c1bcbec60e63b81c4f8c73fb1a2f99675158af15c6f095ab9ab57880bed",
+        "checkpoint_seed1.bin": "b6d542ec610e4d84044247f093b3500673ba3793949f2e685e179b8f46494f43",
         "metrics_seed0.csv": "e957e9b8c4e07d12117efec4a5a3cf75579055bab6712f046f26dd6b1aa9fccd",
         "metrics_seed1.csv": "9d242e4a3b5f730dbd87f2a682b767ad2bfdce20603904202773e7ffd1a0d7ab",
     },
     "train_mlp_hidden8": {
-        "checkpoint_seed0.bin": "2e725a9b121b5b5a7eb0c2a7ab02b44d738e70a8fcb4fb8c05253a52ae56e717",
-        "checkpoint_seed1.bin": "4b2f6241357a41e6282a4947d5e2c5e9a813854dc4be130dcfa879ae87fa3c7b",
+        "checkpoint_seed0.bin": "eca5e08bfb32a965e392ce0c87e33219fbd0792ce1f1face2dc615ba7bb7bd8b",
+        "checkpoint_seed1.bin": "72897aae804fc02c49d75d69a6f46b6a094cd0f9db145a23e57ac657b66444f1",
         "metrics_seed0.csv": "8d294352dc5618e30d41a314a8418da5ba9fdf3c463ea138db15904029b970e0",
         "metrics_seed1.csv": "037a7f5bae88947ca60d6479cb60cf46305d66c8468611402e5d49e82e3f3092",
     },
     "train_per_batch_weights": {
-        "checkpoint_seed0.bin": "228ff2630be3ba817ecfce436c63b27a52dfafaafed05bcc2f9fe13178f6c4e6",
-        "checkpoint_seed1.bin": "974f54d281125f0b83fe5ab946475b0c4f501f524bc9e57f71a1f51c522d3d44",
+        "checkpoint_seed0.bin": "ee9295a89f03752b913bd4d888f73784ead265606991c15e9684783020d9e5b6",
+        "checkpoint_seed1.bin": "5edf6452270b0ddb8f5255a2efe50cc772afbe0aea353a6323f8c3dce84f401e",
         "metrics_seed0.csv": "1bb2e813349608d984ba8469225a6e5c580b00f78bf57ca8788497d3f15d55bd",
         "metrics_seed1.csv": "44e9cd1fcea60ff2e156078f8ed83b98f78881926126445d02c52ce7fd97be03",
     },
     "train_ramp": {
-        "checkpoint_seed0.bin": "6f7cab2df325b6fae266c8509446bc0b083e146f9a22796566003f4b340d1182",
-        "checkpoint_seed1.bin": "69050f271029f18d6eb23abba4b661451735a99826f23077a0e456141892db33",
+        "checkpoint_seed0.bin": "1ace5a5ac28521b16ecc68538bf35eca3e04c77945eaef66b67acdf4a7e3cd92",
+        "checkpoint_seed1.bin": "e55241dd9093781a5c1f06f87d38d4d529bf162bf9f8f51db9b73319523e0064",
         "metrics_seed0.csv": "dcc04b3af20e753ab3aa11cc7d0b275d36191215832eee6f02fbc55a821457b4",
         "metrics_seed1.csv": "8471e386cea22649945214029461bc060fd9571f376bdbe58e6e918887ac5f77",
     },
     "train_weight_decay": {
-        "checkpoint_seed0.bin": "bd8cfbeafa438cc21ecdaf4e79675cbd2afd3d4cc123ce42cc5eabd0e4c264eb",
-        "checkpoint_seed1.bin": "1185a529d2e5fd5867627e4666cb923c4f625b02212e4d18b0963e265f2e9f9a",
+        "checkpoint_seed0.bin": "4a6540281d0c9f47dd614b8db7dc104f9a10bcec8ca90b59a6bf2de03413fe77",
+        "checkpoint_seed1.bin": "a579b1254579d46295aa74be5e5674abeb9c8f627d6e313f4f299299d7cf0312",
         "metrics_seed0.csv": "3c36846334e63a83b6d24c9ff443f4a67f1b3d0f8ccf8bad69af7feeddb2835c",
         "metrics_seed1.csv": "8f7d543745284156eb00c21a8266535efde6b234e667fa79cae7fe2e6251b403",
     },
@@ -169,11 +169,11 @@ D784_VARIANTS = {"linear": {}, "mlp": {"model.arch": "mlp"}}
 
 D784_GOLDEN = {
     "linear": {
-        "checkpoint_seed0.bin": "347aedd4691b4cf02e20465e1d73bf17414554886f598becef394b9c2b207a23",
+        "checkpoint_seed0.bin": "0a5e4843bea5e94ed8e94d370c4ea5cc60abbaa49936637d9e0259aa15fa8630",
         "metrics_seed0.csv": "612d05a99de574adae247b7720fcbe3cbe65223ac64013e1243657a62d3ebf8b",
     },
     "mlp": {
-        "checkpoint_seed0.bin": "ad47d7bb915186dcc02a3d160d14299099b1f6af172e01e2f043348d020ef3f9",
+        "checkpoint_seed0.bin": "4d19a4379ffdcf3e558d48dad3e7a7db188c5a3cc24474585ea8abda68341ed1",
         "metrics_seed0.csv": "84c394a47c413dde275026127e3685a33fd6346f0cff48a0d9ccde386eec46e1",
     },
 }

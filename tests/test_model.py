@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from lwpll import (
     partition_sums,
     predict,
     save_checkpoint,
+    save_partial_csv,
     take,
     train,
     with_candidates,
@@ -522,6 +524,27 @@ def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(path)
+
+
+def test_checkpoint_load_rejects_a_large_other_file_before_reading_it(tmp_path):
+    # A 16 MB corpus CSV: the magic is checked before the rest is read.
+    rng = make_rng(167)
+    labels = rng.integers(0, 10, size=1100)
+    masks = np.zeros((1100, 10), dtype=bool)
+    masks[np.arange(1100), labels] = True
+    path = tmp_path / "corpus.csv"
+    save_partial_csv(Dataset(features=rng.standard_normal((1100, 784)), num_classes=10,
+                             true_labels=labels, partial_masks=masks), str(path))
+    assert path.stat().st_size >= 16_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: not a checkpoint (bad magic)"
+    assert peak < 64 << 10
 
 
 def linear_layer(out_w, in_w, fill=0.5):

@@ -162,3 +162,30 @@ def test_start_weights_are_the_refresh_at_equal_scores_property(case):
         1.0, outside, out=np.zeros(inside.shape), where=outside > 0))
     for w in (init_weights(masks), update_weights(masks, np.zeros(masks.shape))):
         assert w.tobytes() == uniform.tobytes()
+
+
+def two_softmax_weights(masks, scores):
+    """The refresh as two side-restricted softmaxes, summed: the reference
+    that the one-pass refresh must match byte for byte."""
+    def side_softmax(side):
+        peak = np.where(side, scores, -np.inf).max(axis=1, keepdims=True)
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+        with np.errstate(over="ignore"):
+            e = np.where(side, np.exp(np.where(side, scores, peak) - peak), 0.0)
+        tot = e.sum(axis=1, keepdims=True)
+        return np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
+    return side_softmax(masks) + side_softmax(~masks)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_one_pass_refresh_matches_two_softmaxes_bytewise(k):
+    rng = make_rng(79 + k)
+    masks = random_masks(rng, 300, k)
+    masks[0] = True  # a full set
+    masks[1] = np.arange(k) == k - 1  # a single candidate
+    scale = np.repeat([1.0, 1e3, 1e100, 1e300], 75)[:, None]
+    scores = rng.normal(size=(300, k)) * scale
+    scores[2] = [0.0, -0.0] * (k // 2) + [0.0] * (k % 2)  # signed zeros
+    scores[3] = np.where(masks[3], -0.0, 0.0)
+    scores[4, :2] = [1.7e308, -1.7e308]  # a gap beyond the float range
+    assert update_weights(masks, scores).tobytes() == two_softmax_weights(masks, scores).tobytes()
