@@ -29,10 +29,10 @@ Formats:
   passes its checks, its arrays make a valid `Dataset` of n >= 1 rows with
   mask bytes 0 or 1, and the CSV hashes to the stamp. Otherwise the CSV is
   parsed as if there were no sidecar, so deleting one only costs load time.
-- Checkpoint (`model.save_checkpoint`): magic b"LWNN", version 2; header
-  u32 layer count, then per layer u32 out, u32 in and a u8 activation code;
-  payload each layer's weight matrix (float64, out x in), then its bias.
-  Version 1 had no payload digest and is rejected with its version named.
+- Checkpoint (`model.save_checkpoint`): magic b"LWNN", version 2; header u32
+  layer count, then per layer u32 out and u32 in; payload one u8 activation
+  code per layer, then each layer's weights (float64, out x in) and biases.
+  Version 1 had no digest and is rejected with its version named.
 
 Class indices are zero-based everywhere, in files and in memory.
 """
@@ -473,8 +473,7 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Read a partial-label CSV; class count is inferred unless given.
 
     The sidecar that `save_partial_csv` wrote beside the file stands in for
-    the parse when it passes its checks (see "Formats"); otherwise it is
-    ignored.
+    the parse when it passes its checks (see "Formats").
 
     The parse reads the file in one streaming pass: each record is checked
     as it is read (column count, candidates, label inside its set), and
@@ -486,27 +485,31 @@ def load_partial_csv(path: str, num_classes: int | None = None) -> Dataset:
     by row to name the first bad line, so `path` must name a file that can
     be read twice.
     """
-    features, cand_rows, cand_cols, labels = _read_sidecar(path) or _parse_csv(path)
-    largest = int(np.max(cand_cols))
-    inferred = largest + 1
-    if num_classes is None:
-        num_classes = max(inferred, 2)
-    elif num_classes < inferred:
-        raise ValueError(
-            f"{path}: num_classes={num_classes} but saw class index {largest}"
-        )
+    sidecar = _read_sidecar(path)
     try:
-        masks = np.zeros((len(features), num_classes), dtype=bool)
+        dataset, largest = _dataset(path, *(sidecar or _parse_csv(path)), num_classes)
+    except ValueError:
+        if sidecar is None:
+            raise
+        # The sidecar's arrays passed its digests but make no valid dataset.
+        dataset, largest = _dataset(path, *_parse_csv(path), num_classes)
+    if num_classes is not None and num_classes <= largest:
+        raise ValueError(f"{path}: num_classes={num_classes} but saw class index {largest}")
+    return dataset
+
+
+def _dataset(path: str, features, cand_rows, cand_cols, labels, num_classes):
+    """The `Dataset` of loaded arrays, with masks `num_classes` wide (2 if None)
+    or wider if a candidate needs it, and the largest candidate index."""
+    largest = int(np.max(cand_cols))
+    width = max(largest + 1, 2 if num_classes is None else num_classes)
+    try:
+        masks = np.zeros((len(features), width), dtype=bool)
     except MemoryError:
-        raise MemoryError(f"{path}: {len(features)} x {num_classes} candidate masks "
+        raise MemoryError(f"{path}: {len(features)} x {width} candidate masks "
                           "do not fit in memory") from None
     masks[cand_rows, cand_cols] = True
-    return Dataset(
-        features=features,
-        num_classes=num_classes,
-        true_labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-        partial_masks=masks,
-    )
+    return Dataset(features, width, labels, masks), largest
 
 
 def _read_sidecar(path: str):
@@ -516,22 +519,17 @@ def _read_sidecar(path: str):
 
     def layout(take):
         n, d, k, has_label, stamp = take(_SIDECAR_HEAD)
-        return (k, has_label, stamp), [((n, d), "<f8"), ((n, k), "u1"), ((n * has_label,), "<i8")]
+        return (has_label, stamp), [((n, d), "<f8"), ((n, k), "u1"), ((n * has_label,), "<i8")]
 
     try:
-        (k, has_label, stamp), (features, masks, labels) = _read_frame(
+        (has_label, stamp), (features, masks, labels) = _read_frame(
             f"{path}{_SIDECAR_SUFFIX}", _SIDECAR_MAGIC, _SIDECAR_VERSION, "sidecar", layout)
-        labels = labels if has_label else None
-        if not len(features) or (masks > 1).any():
-            return None
-        # Arrays that make no valid dataset (has_label > 1 among them) raise.
-        Dataset(features, k, labels, masks.view(bool))
         with open(path, "rb") as fh:
-            if hashlib.file_digest(fh, "sha256").digest() != stamp:
+            if (masks > 1).any() or hashlib.file_digest(fh, "sha256").digest() != stamp:
                 return None
     except (OSError, ValueError):
         return None
-    return (features, *np.nonzero(masks), labels)
+    return features, *np.nonzero(masks), labels if has_label else None
 
 
 def _parse_csv(path: str):
@@ -568,7 +566,7 @@ def _parse_csv(path: str):
         raise ValueError(f"{path}: non-finite feature")
     if failed:
         raise failed[0]
-    return features, cand_rows, cand_cols, labels if has_label else None
+    return features, cand_rows, cand_cols, np.array(labels, np.int64) if has_label else None
 
 
 def _read_header(fh, path: str) -> tuple[int, bool]:

@@ -29,7 +29,7 @@ from .weights import init_weights, update_weights
 _CHECKPOINT_MAGIC = b"LWNN"
 _CHECKPOINT_VERSION = 2
 _LAYER_COUNT = struct.Struct("<I")
-_LAYER_ENTRY = struct.Struct("<IIB")  # out, in, activation code
+_LAYER_ENTRY = struct.Struct("<II")  # out, in
 _ACTIVATION_CODES = {"identity": 0, "relu": 1}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
@@ -360,39 +360,41 @@ def train(
 
 def save_checkpoint(params: NetworkParams, path: str) -> None:
     """Write the network as a checkpoint (see `lwpll.data`'s "Formats")."""
-    table = [_LAYER_ENTRY.pack(*l.W.shape, _ACTIVATION_CODES[l.activation]) for l in params.layers]
+    header = _LAYER_COUNT.pack(len(params.layers)) + b"".join(
+        _LAYER_ENTRY.pack(*l.W.shape) for l in params.layers)
+    codes = np.array([_ACTIVATION_CODES[l.activation] for l in params.layers], dtype="u1")
     arrays = [np.ascontiguousarray(a, dtype="<f8") for l in params.layers for a in (l.W, l.b)]
-    header = _LAYER_COUNT.pack(len(table)) + b"".join(table)
-    _write_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, header, arrays)
+    _write_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, header, [codes, *arrays])
 
 
 def load_checkpoint(path: str) -> NetworkParams:
     """Inverse of `save_checkpoint`. Besides the frame's checks, rejects a network
     that cannot score: no layers, a width of 0, an input width that is not the
-    previous layer's output, 1 output, or a non-finite weight or bias."""
+    previous layer's output, 1 output, an unknown activation code, or a
+    non-finite weight or bias."""
 
     def layer_table(take):
         (count,) = take(_LAYER_COUNT)
         if count == 0:
             raise ValueError(f"{path}: checkpoint has no layers")
-        shapes, activations = [], []
+        shapes = []
         for i in range(count):
-            out_w, in_w, code = take(_LAYER_ENTRY)
-            if code not in _ACTIVATION_NAMES:
-                raise ValueError(f"{path}: unknown activation code {code}")
+            out_w, in_w = take(_LAYER_ENTRY)
             if out_w == 0 or in_w == 0:
                 raise ValueError(f"{path}: layer {i} has width 0 ({out_w}x{in_w})")
             if shapes and in_w != shapes[-1][0]:
                 raise ValueError(f"{path}: layer {i} takes {in_w} inputs but layer {i - 1} "
                                  f"gives {shapes[-1][0]}")
             shapes += [(out_w, in_w), (out_w,)]  # W's, then b's: shapes[-1][0] is out_w
-            activations.append(_ACTIVATION_NAMES[code])
         if shapes[-1] == (1,):
             raise ValueError(f"{path}: last layer has 1 output; a classifier needs at least 2")
-        return activations, [(shape, "<f8") for shape in shapes]
+        return None, [((count,), "u1")] + [(shape, "<f8") for shape in shapes]
 
-    activations, arrays = _read_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+    _, (codes, *arrays) = _read_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
                                       "checkpoint", layer_table)
+    activations = [_ACTIVATION_NAMES.get(code) for code in codes.tolist()]
+    if None in activations:
+        raise ValueError(f"{path}: unknown activation code {codes[activations.index(None)]}")
     for i, array in enumerate(arrays):  # each layer's W, then its b
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: layer {i // 2} has non-finite parameters")

@@ -1,5 +1,6 @@
 """Experiment harness: configs, fingerprints, and the five subcommands."""
 
+import itertools
 import json
 import os
 import platform
@@ -593,18 +594,21 @@ def test_eval_rejects_a_checkpoint_with_any_byte_flipped_with_exit_2(tmp_path, c
     save_checkpoint(params, path)
     blob = path.read_bytes()
     assert main(argv) == 0
-    # Every byte of the header, the layer table, the payload digest and the payload.
-    for at in range(len(blob)):
-        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :])
+    # Every byte of the header, the layer table, the payload digest and the
+    # payload; ^ 0x01 keeps an activation code valid, ^ 0xFF does not.
+    for at, flip in itertools.product(range(len(blob)), (0x01, 0xFF)):
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1 :])
         capsys.readouterr()
-        assert main(argv) == 2, at
+        assert main(argv) == 2, (at, flip)
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
-        assert captured.out == "" and len(lines) == 1, (at, captured)
-        assert lines[0].startswith(f"error: {path}: "), (at, lines)
-    # The same network as a version-1 file: no payload digest after the layer table.
-    table_end = 12 + 9 * len(params.layers)
-    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:table_end] + blob[table_end + 32 :])
+        assert captured.out == "" and len(lines) == 1, (at, flip, captured)
+        assert lines[0].startswith(f"error: {path}: "), (at, flip, lines)
+    # The same network as a version-1 file: each layer's out, in and activation
+    # code (0 identity, 1 relu), then the weights, with no payload digest.
+    table = [struct.pack("<IIB", *l.W.shape, l.activation == "relu") for l in params.layers]
+    path.write_bytes(b"LWNN" + struct.pack("<II", 1, len(table)) + b"".join(table)
+                     + b"".join(a.tobytes() for l in params.layers for a in (l.W, l.b)))
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 1\n"

@@ -614,6 +614,19 @@ def test_sidecar_is_used_only_when_it_passes_its_checks(tmp_path, monkeypatch, c
         assert got == f"{path}:2: non-numeric feature"
 
 
+@pytest.mark.parametrize("with_sidecar", [True, False])
+def test_a_load_validates_its_dataset_once(tmp_path, monkeypatch, with_sidecar):
+    path = tmp_path / "corpus.csv"
+    save_partial_csv(random_dataset(make_rng(349)), str(path))
+    if not with_sidecar:
+        Path(f"{path}.lwb").unlink()
+    checks = []
+    check = Dataset.__post_init__
+    monkeypatch.setattr(Dataset, "__post_init__", lambda ds: checks.append(check(ds)))
+    load_partial_csv(str(path), num_classes=6)
+    assert len(checks) == 1
+
+
 # feature formatting: the block formatter against Python's "%.17g"
 
 

@@ -115,38 +115,38 @@ GOLDEN = {
         "test.csv.lwb": "781b2da3c9cf830c9255e783ee24d96d6b6a1c7a5f6c78a2759ebfd68f48a542",
     },
     "train_cross_entropy": {
-        "checkpoint_seed0.bin": "37e4145dbcda363d5ace331784de1ba760967c963c88bfb4cf46e7b8f5e52abb",
-        "checkpoint_seed1.bin": "014522f755a1f3ec7d68ea4c9950c8dcf9af9e73267e3cef0a085897096b4c3d",
+        "checkpoint_seed0.bin": "9435177917ff5343deb6cb416e0c5bd12283af648e12b595d4c01add97cf045e",
+        "checkpoint_seed1.bin": "fbb811d26f7da440a66acc7a33b12d9c8a42c9d82bb6c59564365e2bb022a42d",
         "metrics_seed0.csv": "54deff62b2a713064d0aa359300011a9bf2ce66433701ead7cb73af61fd4c9bc",
         "metrics_seed1.csv": "6d7e38dbbe90ce2c0df848964c380626e6e2b14003e1264557ac34c2c58298db",
     },
     "train_linear_sigmoid": {
-        "checkpoint_seed0.bin": "1ffc0c1bcbec60e63b81c4f8c73fb1a2f99675158af15c6f095ab9ab57880bed",
-        "checkpoint_seed1.bin": "b6d542ec610e4d84044247f093b3500673ba3793949f2e685e179b8f46494f43",
+        "checkpoint_seed0.bin": "963ecca5a3c979e0b85b11ba13e61aebb16a32d0246a35af393a4cf715166249",
+        "checkpoint_seed1.bin": "5a8750b2ee1134eda43bda659da344cad5c2d8dc009f68ce0c37858e8c6377b0",
         "metrics_seed0.csv": "e957e9b8c4e07d12117efec4a5a3cf75579055bab6712f046f26dd6b1aa9fccd",
         "metrics_seed1.csv": "9d242e4a3b5f730dbd87f2a682b767ad2bfdce20603904202773e7ffd1a0d7ab",
     },
     "train_mlp_hidden8": {
-        "checkpoint_seed0.bin": "eca5e08bfb32a965e392ce0c87e33219fbd0792ce1f1face2dc615ba7bb7bd8b",
-        "checkpoint_seed1.bin": "72897aae804fc02c49d75d69a6f46b6a094cd0f9db145a23e57ac657b66444f1",
+        "checkpoint_seed0.bin": "b7d7c128e622e8b571535fa5add706e0533ed792747a004e396eaa0a3b6f12e0",
+        "checkpoint_seed1.bin": "3235421b238124109b2a64342706a6c43f80ceebc97e0580246992efd9321da2",
         "metrics_seed0.csv": "8d294352dc5618e30d41a314a8418da5ba9fdf3c463ea138db15904029b970e0",
         "metrics_seed1.csv": "037a7f5bae88947ca60d6479cb60cf46305d66c8468611402e5d49e82e3f3092",
     },
     "train_per_batch_weights": {
-        "checkpoint_seed0.bin": "ee9295a89f03752b913bd4d888f73784ead265606991c15e9684783020d9e5b6",
-        "checkpoint_seed1.bin": "5edf6452270b0ddb8f5255a2efe50cc772afbe0aea353a6323f8c3dce84f401e",
+        "checkpoint_seed0.bin": "1a589cda313a0ba0dc0e869a8cabac0687af527934a43bfa97512e59d5cfc72e",
+        "checkpoint_seed1.bin": "5a23513d24a531902e09aa218160b62b07751fdf727f5b14aafb8f0ecda59b50",
         "metrics_seed0.csv": "1bb2e813349608d984ba8469225a6e5c580b00f78bf57ca8788497d3f15d55bd",
         "metrics_seed1.csv": "44e9cd1fcea60ff2e156078f8ed83b98f78881926126445d02c52ce7fd97be03",
     },
     "train_ramp": {
-        "checkpoint_seed0.bin": "1ace5a5ac28521b16ecc68538bf35eca3e04c77945eaef66b67acdf4a7e3cd92",
-        "checkpoint_seed1.bin": "e55241dd9093781a5c1f06f87d38d4d529bf162bf9f8f51db9b73319523e0064",
+        "checkpoint_seed0.bin": "fb23cf02f2a71d747a68fa2f61302082b31b48647126c8410b0111cfa22b32d1",
+        "checkpoint_seed1.bin": "c72b61ec5343155d1cb030424963040d2002ec7503c622a38fa248d849e80449",
         "metrics_seed0.csv": "dcc04b3af20e753ab3aa11cc7d0b275d36191215832eee6f02fbc55a821457b4",
         "metrics_seed1.csv": "8471e386cea22649945214029461bc060fd9571f376bdbe58e6e918887ac5f77",
     },
     "train_weight_decay": {
-        "checkpoint_seed0.bin": "4a6540281d0c9f47dd614b8db7dc104f9a10bcec8ca90b59a6bf2de03413fe77",
-        "checkpoint_seed1.bin": "a579b1254579d46295aa74be5e5674abeb9c8f627d6e313f4f299299d7cf0312",
+        "checkpoint_seed0.bin": "fba10ccfd0327832c59917e9200db77f327d500163d99e990ad82762c76d6b2a",
+        "checkpoint_seed1.bin": "8426c2d5ef6e673d82dd94a670bb83596a839e753c40ab7385fb11c554672273",
         "metrics_seed0.csv": "3c36846334e63a83b6d24c9ff443f4a67f1b3d0f8ccf8bad69af7feeddb2835c",
         "metrics_seed1.csv": "8f7d543745284156eb00c21a8266535efde6b234e667fa79cae7fe2e6251b403",
     },
@@ -169,11 +169,11 @@ D784_VARIANTS = {"linear": {}, "mlp": {"model.arch": "mlp"}}
 
 D784_GOLDEN = {
     "linear": {
-        "checkpoint_seed0.bin": "0a5e4843bea5e94ed8e94d370c4ea5cc60abbaa49936637d9e0259aa15fa8630",
+        "checkpoint_seed0.bin": "fea5f0ea158346ac0105111313bdad1ac4fa0a96e3ab75e230fb44a5b793c551",
         "metrics_seed0.csv": "612d05a99de574adae247b7720fcbe3cbe65223ac64013e1243657a62d3ebf8b",
     },
     "mlp": {
-        "checkpoint_seed0.bin": "4d19a4379ffdcf3e558d48dad3e7a7db188c5a3cc24474585ea8abda68341ed1",
+        "checkpoint_seed0.bin": "53f4b87852e26363da6c1270593f33272452f2fac495a28e16406e83ea7fe2a3",
         "metrics_seed0.csv": "84c394a47c413dde275026127e3685a33fd6346f0cff48a0d9ccde386eec46e1",
     },
 }

@@ -518,7 +518,7 @@ def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
     blob_path = tmp_path / "net.bin"
     save_checkpoint(init_network([3, 4, 2], rng), blob_path)
     blob = blob_path.read_bytes()
-    # Cut inside the 12-byte header, then inside the 9-byte layer records.
+    # Cut inside the 12-byte header, the 8-byte layer records, then the digest.
     for cut in (5, 11, 12, 15, 20, 29):
         path = tmp_path / f"cut{cut}.bin"
         path.write_bytes(blob[:cut])
