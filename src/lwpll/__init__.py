@@ -10,7 +10,6 @@ file formats), `cli` (experiment harness), `rng` (reproducible streams).
 from .consistency import (
     CheckNotApplicable,
     ConsistencyReport,
-    beta1_collapse_check,
     certify_coefficient_ordering,
     certify_risk_equivalence,
     certify_subset_normalization,
@@ -41,7 +40,6 @@ from .losses import (
     derived_supervised_loss,
     lw_loss_batch,
     lw_loss_gradient_batch,
-    special_case_loss,
 )
 from .model import (
     EpochMetrics,
@@ -62,7 +60,7 @@ from .model import (
     train,
 )
 from .rng import make_rng
-from .weights import init_weights, partition_sums, update_weights
+from .weights import init_weights, update_weights
 
 __version__ = "0.1.0"
 
@@ -85,7 +83,6 @@ __all__ = [
     "ZERO_ONE_STEP",
     "accuracy",
     "backward",
-    "beta1_collapse_check",
     "certify_coefficient_ordering",
     "certify_risk_equivalence",
     "certify_subset_normalization",
@@ -107,11 +104,9 @@ __all__ = [
     "make_uniform",
     "network_widths",
     "partial_risk_bruteforce",
-    "partition_sums",
     "predict",
     "save_checkpoint",
     "save_partial_csv",
-    "special_case_loss",
     "standardize",
     "supervised_risk_direct",
     "take",

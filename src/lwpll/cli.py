@@ -431,17 +431,12 @@ def _environment() -> dict:
     BLAS builds, the SIMD targets NumPy's float64 `exp` and `log` run, the
     BLAS kernel, thread and NumPy dispatch variables as set, and the CPU
     count."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):  # NumPy < 1.26 has no dict mode
-        blas = {}
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:  # NumPy < 2.0
-        dispatch = None
-    else:
-        loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
-        dispatch = {name: loops[name]["dd"]["current"] for name in ("exp", "log")}
+    # Imported here, not at module level, so that `import lwpll.cli` stays fast.
+    from numpy.lib.introspect import opt_func_info
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    dispatch = {name: loops[name]["dd"]["current"] for name in ("exp", "log")}
     pins = {var: os.environ.get(var)
             for var in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "NPY_DISABLE_CPU_FEATURES")}

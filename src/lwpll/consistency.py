@@ -7,9 +7,8 @@ model. The two sides share no code: the enumerator works from `lw_loss_batch`
 and set probabilities, the closed form from `derived_supervised_loss`, so
 agreement to 1e-10 over randomized instances is evidence rather than
 tautology. Companion checks certify the set-probability normalization, the
-uniform-rejection special value 1/(2^(K-1) - 1), the coefficient-ordering
-property behind classifier consistency, and the collapse of the beta = 1
-loss to a function of the true-label score alone.
+uniform-rejection special value 1/(2^(K-1) - 1), and the coefficient-ordering
+property behind classifier consistency.
 
 The risk check works in batches of instances. Instances that share a
 (K, psi) pair are stacked, each with its q matrix in one `GenerationModel`
@@ -307,42 +306,6 @@ def theorem2_coefficient_check(posterior, weights, q_row, beta) -> bool | np.nda
     c = w * q * (b * p - (b - 1.0))
     peaked = c.argmax(axis=1) == y_star
     return bool(peaked[0]) if single else peaked
-
-
-def beta1_collapse_check(
-    scores_a,
-    scores_b,
-    true_label: int,
-    model: GenerationModel,
-    weights,
-    psi,
-    tolerance: float = 1e-12,
-) -> bool:
-    """Is the beta = 1 supervised loss blind to non-true-label scores?
-
-    For a symmetric psi the beta = 1 closed form is
-    w_y psi(g_y) + sum_{z != y} w_z [(1 - q_z) + (2 q_z - 1) psi(g_z)],
-    so the dependence on a wrong class's score vanishes exactly when that
-    class is as likely inside the candidate set as outside (q_z = 1/2).
-    With every off-label inclusion probability at 1/2 the loss collapses to
-    w_y psi(g_y) plus a constant, and two score vectors agreeing at the
-    true label give equal losses; this function reports that comparison.
-    The pair must differ only away from the true label; asymmetric psi is
-    not covered.
-    """
-    if not getattr(psi, "symmetric", False):
-        raise CheckNotApplicable("the collapse holds for symmetric psi only")
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
-    y = int(true_label)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("score vectors must share one length")
-    if a[y] != b[y]:
-        raise CheckNotApplicable("score vectors must agree at the true label")
-    cfg = LWConfig(beta=1.0, alpha=1.0, psi=psi)
-    la = derived_supervised_loss(y, a, weights, model.q[y], cfg)
-    lb = derived_supervised_loss(y, b, weights, model.q[y], cfg)
-    return abs(la - lb) <= tolerance
 
 
 def _random_model(draws: np.ndarray) -> GenerationModel:

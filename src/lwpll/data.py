@@ -192,6 +192,8 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
     d = dataset.num_features
     if d == 0:
         raise ValueError("dataset has no feature columns to save")
+    if len(dataset) == 0:
+        raise ValueError("dataset has no rows to save")
     has_label = dataset.true_labels is not None
     header = [f"f{j}" for j in range(d)] + ["candidates"] + ["true_label"] * has_label
     values = np.ascontiguousarray(dataset.features, dtype=np.float64).reshape(-1)

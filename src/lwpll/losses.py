@@ -54,7 +54,6 @@ class SigmoidLoss:
     """psi(z) = 1 / (1 + e^z), smooth and symmetric."""
 
     name = "sigmoid"
-    symmetric = True
 
     @staticmethod
     def value(z):
@@ -70,7 +69,6 @@ class RampLoss:
     """psi(z) = clip((1 - z) / 2, 0, 1), piecewise linear and symmetric."""
 
     name = "ramp"
-    symmetric = True
 
     @staticmethod
     def value(z):
@@ -91,7 +89,6 @@ class ZeroOneStepLoss:
     """
 
     name = "zero_one_step"
-    symmetric = True
 
     @staticmethod
     def value(z):
@@ -107,7 +104,6 @@ class CrossEntropyMode:
     """Marker selecting -log softmax terms instead of a per-class binary loss."""
 
     name = "cross_entropy"
-    symmetric = False
 
 
 SIGMOID = SigmoidLoss()
@@ -224,38 +220,6 @@ def lw_loss_gradient_batch(scores, candidates, weights, cfg: LWConfig):
     for bit and the (n, K) gradient, or one scalar and one length-K vector for
     a length-K instance. The step loss raises `UnsupportedLossError`."""
     return _lw_rows(scores, candidates, weights, cfg, with_gradient=True)
-
-
-MIN_OVER_CANDIDATES = "min_over_candidates"
-AVERAGE_OVER_CANDIDATES = "average_over_candidates"
-MAX_CANDIDATE_PLUS_NEGATIVES = "max_candidate_plus_negatives"
-
-
-def special_case_loss(kind: str, scores, candidates, psi: BinaryLoss) -> float:
-    """Historical candidate-set losses recovered as settings of the family.
-
-    - average_over_candidates: mean of psi over the candidate scores
-      (beta = 0 with uniform weights on the candidate set).
-    - min_over_candidates: min of psi over the candidate scores, equivalently
-      psi at the maximal candidate score (beta = 0, weight 1 on the argmax
-      candidate).
-    - max_candidate_plus_negatives: psi at the maximal candidate score plus
-      the sum of psi(-g_z) over non-candidates (beta = 1, weight 1 on the
-      argmax candidate and on every non-candidate).
-    """
-    g = np.asarray(scores, dtype=float)
-    m = np.asarray(candidates, dtype=bool)
-    if g.shape != m.shape or g.ndim != 1:
-        raise ValueError(f"shape mismatch: scores {g.shape}, candidates {m.shape}")
-    if not m.any():
-        raise ValueError("candidate set must be nonempty")
-    if kind == AVERAGE_OVER_CANDIDATES:
-        return float(psi.value(g[m]).mean())
-    if kind == MIN_OVER_CANDIDATES:
-        return float(psi.value(g[m]).min())
-    if kind == MAX_CANDIDATE_PLUS_NEGATIVES:
-        return float(psi.value(g[m].max()) + psi.value(-g[~m]).sum())
-    raise ValueError(f"unknown special-case kind {kind!r}")
 
 
 def derived_supervised_loss(

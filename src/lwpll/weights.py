@@ -43,9 +43,3 @@ def update_weights(masks, scores) -> np.ndarray:
     total_out = np.where(m, 0.0, e).sum(axis=1, keepdims=True)
     return e / np.where(m, total_in, total_out)
 
-
-def partition_sums(weights, masks) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance weight totals (candidate side, complement side)."""
-    inside = np.where(masks, weights, 0.0).sum(axis=1)
-    outside = np.where(masks, 0.0, weights).sum(axis=1)
-    return inside, outside

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 import lwpll.cli
 import lwpll.data
@@ -996,13 +997,9 @@ def test_every_manifest_names_its_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
-    try:  # the float64 exp and log loops NumPy runs in this process
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:  # NumPy < 2.0
-        dispatch = None
-    else:
-        loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
-        dispatch = {"exp": loops["exp"]["dd"]["current"], "log": loops["log"]["dd"]["current"]}
+    # the float64 exp and log loops NumPy runs in this process
+    loops = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    dispatch = {"exp": loops["exp"]["dd"]["current"], "log": loops["log"]["dd"]["current"]}
     cfg_path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
     for command in (["generate"], ["train"], ["sweep", "--beta", "0"]):
         out = tmp_path / command[0]

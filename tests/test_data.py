@@ -770,11 +770,15 @@ def test_csv_bytes_match_the_reference_writer_across_blocks(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-def test_csv_save_rejects_a_dataset_without_features(tmp_path):
-    masks = np.ones((2, 2), dtype=bool)
-    with pytest.raises(ValueError):
-        save_partial_csv(Dataset(np.zeros((2, 0)), 2, partial_masks=masks),
-                         str(tmp_path / "empty.csv"))
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3)], ids=["no_features", "no_rows"])
+def test_csv_save_rejects_a_dataset_without_features(tmp_path, shape):
+    # Neither file is opened: a 0-row CSV has no header line and cannot load.
+    masks = np.ones((shape[0], 2), dtype=bool)
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="no (feature columns|rows) to save"):
+        save_partial_csv(Dataset(np.zeros(shape), 2, partial_masks=masks), str(path))
+    assert not path.exists()
+    assert not (tmp_path / "empty.csv.lwb").exists()
 
 
 # synthetic Gaussians

@@ -24,17 +24,8 @@ from lwpll import (
     lw_loss_batch,
     lw_loss_gradient_batch,
     make_rng,
-    special_case_loss,
 )
-from lwpll.losses import (
-    AVERAGE_OVER_CANDIDATES,
-    BINARY_LOSSES,
-    MAX_CANDIDATE_PLUS_NEGATIVES,
-    MIN_OVER_CANDIDATES,
-    _expit,
-    _logsumexp,
-    get_loss,
-)
+from lwpll.losses import BINARY_LOSSES, _expit, _logsumexp, get_loss
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -127,7 +118,6 @@ def test_step_values():
 def test_symmetry_on_grid():
     z = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
     for psi in (SIGMOID, RAMP):
-        assert psi.symmetric
         gap = np.abs(psi.value(z) + psi.value(-z) - 1.0)
         assert gap.max() <= 1e-12
 
@@ -417,27 +407,23 @@ def test_one_kernel_matches_separate_passes_bytewise():
         assert one_grad.tobytes() == want_grad[0].tobytes()
 
 
-# special-case reductions
+# special-case reductions: settings of (beta, w) that recover the older
+# candidate-set losses
 
 
 def test_average_over_candidates_at_zero():
     g = np.zeros(3)
     mask = np.array([True, True, False])
-    assert special_case_loss(AVERAGE_OVER_CANDIDATES, g, mask, SIGMOID) == 0.5
+    w = np.array([0.5, 0.5, 0.0])
+    assert lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID)) == 0.5
 
 
 def test_min_over_candidates_value():
     g = np.array([1.0, -1.0, 0.0])
     mask = np.array([True, True, False])
-    v = special_case_loss(MIN_OVER_CANDIDATES, g, mask, SIGMOID)
+    w = np.array([1.0, 0.0, 0.0])  # all weight on the top candidate
+    v = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
     assert abs(v - 0.26894142136999512) < 1e-16
-
-
-def test_special_case_rejects_empty_set():
-    with pytest.raises(ValueError):
-        special_case_loss(MIN_OVER_CANDIDATES, np.zeros(3), np.zeros(3, dtype=bool), SIGMOID)
-    with pytest.raises(ValueError):
-        special_case_loss("nonsense", np.zeros(3), np.array([True, False, False]), SIGMOID)
 
 
 def test_reduction_to_average():
@@ -446,7 +432,7 @@ def test_reduction_to_average():
         g, mask, _ = random_instance(rng, 6)
         w = np.where(mask, 1.0 / mask.sum(), 0.0)
         lw = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
-        avg = special_case_loss(AVERAGE_OVER_CANDIDATES, g, mask, SIGMOID)
+        avg = SIGMOID.value(g[mask]).mean()
         assert abs(lw - avg) <= 5e-15 * (1.0 + abs(avg))
 
 
@@ -459,7 +445,7 @@ def test_reduction_to_min():
         w = np.zeros(6)
         w[best] = 1.0
         lw = lw_loss_batch(g, mask, w, LWConfig(beta=0.0, psi=SIGMOID))
-        assert lw == special_case_loss(MIN_OVER_CANDIDATES, g, mask, SIGMOID)
+        assert lw == SIGMOID.value(g[mask]).min()
 
 
 def test_reduction_to_max_candidate_plus_negatives():
@@ -471,7 +457,7 @@ def test_reduction_to_max_candidate_plus_negatives():
         w = np.where(mask, 0.0, 1.0)
         w[best] = 1.0
         lw = lw_loss_batch(g, mask, w, LWConfig(beta=1.0, psi=SIGMOID))
-        special = special_case_loss(MAX_CANDIDATE_PLUS_NEGATIVES, g, mask, SIGMOID)
+        special = SIGMOID.value(g[mask].max()) + SIGMOID.value(-g[~mask]).sum()
         assert abs(lw - special) <= 5e-15 * (1.0 + abs(special))
 
 

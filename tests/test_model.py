@@ -36,7 +36,6 @@ from lwpll import (
     make_rng,
     make_uniform,
     network_widths,
-    partition_sums,
     predict,
     save_checkpoint,
     save_partial_csv,
@@ -345,7 +344,8 @@ def test_train_weight_partitions_stay_normalized():
     seen = []
 
     def snoop(row, params, weights, masks):
-        inside, outside = partition_sums(weights, masks)
+        inside = np.where(masks, weights, 0.0).sum(axis=1)
+        outside = np.where(masks, 0.0, weights).sum(axis=1)
         seen.append((inside.copy(), outside.copy(), masks.all(axis=1)))
 
     train(
