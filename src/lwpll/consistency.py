@@ -10,22 +10,26 @@ tautology. Companion checks certify the set-probability normalization, the
 uniform-rejection special value 1/(2^(K-1) - 1), and the coefficient-ordering
 property behind classifier consistency.
 
-The risk check works in batches of instances. Instances that share a
-(K, psi) pair are stacked, each with its q matrix in one `GenerationModel`
-and its beta and alpha in one `LWConfig`, so one set-probability, one
-`lw_loss_batch` and one `derived_supervised_loss` call cover every
-(beta, alpha) grid point of the pair. The loss of a candidate set does not
-depend on the true label, so it is evaluated once per nonempty set (2^K - 1
-rows per instance) and shared by every label in the set. A batch holds at
-most MAX_BATCH_ROWS (label, set) rows, and at least one instance, so its
-memory is bounded whatever the instance count; across batches the check
-keeps only one float gap per instance. The `derived_loss` hook
-receives the same batched arguments as the closed form and goes through the
-same accumulation. The risk instances are drawn exactly as one-at-a-time
-checking would draw them, and every reported figure is bit-identical to it:
-the per-row arithmetic and reduction order are unchanged, and `math.fsum` is
-exact. The coefficient-ordering instances are drawn and checked one K at a
-time, with one bulk Generator call per quantity.
+The risk check works in batches of instances. Instances that share a (K, psi)
+pair are stacked, each with its q matrix in one `GenerationModel` and its beta
+and alpha in one `LWConfig`, so one set-probability, one `lw_loss_batch` and
+one `derived_supervised_loss` call cover every (beta, alpha) grid point of the
+pair. The loss of a candidate set does not depend on the true label: one
+broadcast `lw_loss_batch` call takes the (n, 1, K) scores against the 2^K - 1
+nonempty sets, evaluating psi once per instance, and each set's loss is shared
+by every label in the set. A batch holds at most MAX_BATCH_ROWS (label, set)
+rows, and at least one instance, so its memory is bounded whatever the
+instance count; across batches the check keeps only one float gap per
+instance. The `derived_loss` hook receives the same batched arguments as the
+closed form and goes through the same accumulation. The risk instances are
+drawn exactly as one-at-a-time checking would draw them, and every reported
+figure is bit-identical to it: the per-row arithmetic and reduction order are
+unchanged, and `math.fsum` is exact. The normalization check stacks its models
+by (K, label), one `subset_probabilities` call each, and the uniform-recovery
+check makes one call per K over every (label, set) row; both draw and report
+as one model and one label at a time would. The coefficient-ordering instances
+are drawn and checked one K at a time, with one bulk Generator call per
+quantity.
 
 Every check reports as its worst case the first case in check order with
 the largest gap (`_report`). A NaN gap ranks above every number
@@ -134,7 +138,10 @@ def enumerate_subsets(num_classes: int, containing: int | None = None) -> np.nda
     subsets = _all_subsets(num_classes)
     if containing is None:
         return subsets
-    return subsets[subsets[:, int(containing)]]
+    y = int(containing)
+    if not 0 <= y < num_classes:
+        raise ValueError(f"label {y} out of range for K={num_classes} classes")
+    return subsets[subsets[:, y]]
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +180,6 @@ def _instances(scores, posterior, model: GenerationModel, weights):
     return p.reshape(-1, k), g.reshape(-1, k), w.reshape(-1, k), p.ndim == 1
 
 
-def _repeat_leverage(cfg: LWConfig, repeats) -> LWConfig:
-    """cfg with each per-instance beta and alpha repeated for its instance's rows."""
-    beta, alpha = (v if np.ndim(v) == 0 else np.repeat(v, repeats) for v in (cfg.beta, cfg.alpha))
-    return LWConfig(beta=beta, alpha=alpha, psi=cfg.psi)
-
-
 def partial_risk_bruteforce(
     scores, posterior, model: GenerationModel, weights, cfg: LWConfig
 ) -> float | np.ndarray:
@@ -187,7 +188,8 @@ def partial_risk_bruteforce(
     Computes sum_y p_y sum_{S with y in S} P(S | y) * lw_loss_batch(g, S, w, cfg),
     accumulating the terms with exact float summation; labels with p_y = 0
     contribute nothing. The loss of S does not depend on y, so it is
-    evaluated once per nonempty set and shared by every label in S.
+    evaluated once per nonempty set, by one broadcast `lw_loss_batch` call
+    over all 2^K - 1 sets, and shared by every label in S.
 
     One instance (length-K scores, posterior, weights) gives a float. A
     stack of n models with (n, K) arrays gives the n risks, with one
@@ -196,13 +198,7 @@ def partial_risk_bruteforce(
     """
     p, g, w, single = _instances(scores, posterior, model, weights)
     sets, labels, members = _label_set_rows(model.num_classes)
-    n = p.shape[0]
-    losses = lw_loss_batch(
-        np.repeat(g, sets.shape[0], axis=0),
-        np.tile(sets, (n, 1)),
-        np.repeat(w, sets.shape[0], axis=0),
-        _repeat_leverage(cfg, sets.shape[0]),
-    ).reshape(n, sets.shape[0])[:, members]
+    losses = lw_loss_batch(g[:, None], sets, w[:, None], cfg)[:, members]
     probs = model.subset_probabilities(labels, sets[members])
     mass = p[:, labels]
     terms = np.where(mass != 0.0, mass * probs * losses, 0.0)
@@ -241,10 +237,11 @@ def supervised_risk_direct(
         derived_loss = derived_supervised_loss
     q = model.q.reshape((-1,) + model.q.shape[-2:])
     inst, labels = np.nonzero(p)
+    counts = np.count_nonzero(p, axis=1)
+    beta, alpha = (np.repeat(v, counts) if np.ndim(v) else v for v in (cfg.beta, cfg.alpha))
     terms = np.zeros_like(p)
     terms[inst, labels] = p[inst, labels] * derived_loss(
-        labels, g[inst], w[inst], q[inst, labels],
-        _repeat_leverage(cfg, np.count_nonzero(p, axis=1)),
+        labels, g[inst], w[inst], q[inst, labels], LWConfig(beta, alpha, cfg.psi)
     )
     total = np.zeros(p.shape[0])
     for column in terms.T:
@@ -252,17 +249,18 @@ def supervised_risk_direct(
     return float(total[0]) if single else total
 
 
-def lemma1_check(model: GenerationModel, true_label: int) -> ConsistencyReport:
-    """How far the set probabilities for one true label are from summing to 1."""
+def lemma1_check(
+    model: GenerationModel, true_label: int
+) -> ConsistencyReport | list[ConsistencyReport]:
+    """How far the set probabilities for one true label are from summing to 1;
+    a stack of models gives a list of per-model reports from one call."""
     k = model.num_classes
     y = int(true_label)
     subsets = enumerate_subsets(k, containing=y)
-    total = math.fsum(model.subset_probabilities(y, subsets).tolist())
-    return ConsistencyReport(
-        max_discrepancy=abs(total - 1.0),
-        instances=subsets.shape[0],
-        worst_case=f"K={k}, y={y}, sum={total!r}",
-    )
+    probs = np.atleast_2d(model.subset_probabilities(y, subsets))
+    reports = [ConsistencyReport(abs(t - 1.0), len(subsets), f"K={k}, y={y}, sum={t!r}")
+               for t in map(math.fsum, probs.tolist())]
+    return reports if model.q.ndim == 3 else reports[0]
 
 
 def theorem2_coefficient_check(posterior, weights, q_row, beta) -> bool | np.ndarray:
@@ -388,15 +386,22 @@ def certify_subset_normalization(
     seed: int = 0,
     k_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 9, 10),
 ) -> ConsistencyReport:
-    """Set probabilities sum to 1 for each true label, over random models."""
+    """Set probabilities sum to 1 for each true label, over random models.
+    Model i has K = k_values[i % len(k_values)]; the models are drawn in
+    order, then checked by one stacked `lemma1_check` per (K, label)."""
     rng = make_rng(seed)
-
-    def case(i):
+    groups = {}
+    for i in range(models):
         k = k_values[i % len(k_values)]
-        report = lemma1_check(_random_model(rng.random((k, k))), int(rng.integers(k)))
-        return report.max_discrepancy, lambda: f"model {i}: {report.worst_case}"
-
-    return _report(map(case, range(models)), models, "no models checked")
+        q = rng.random((k, k))
+        groups.setdefault((k, int(rng.integers(k))), []).append((i, q))
+    cases = [None] * models
+    for (k, y), drawn in groups.items():
+        index, q = zip(*drawn)
+        for i, report in zip(index, lemma1_check(_random_model(np.array(q)), y)):
+            cases[i] = (report.max_discrepancy,
+                        partial("model {}: {}".format, i, report.worst_case))
+    return _report(cases, models, "no models checked")
 
 
 def certify_uniform_recovery(
@@ -409,11 +414,12 @@ def certify_uniform_recovery(
     for k in k_values:
         model = make_uniform(k, 0.5, reject_full=True)
         expected = 1.0 / (2 ** (k - 1) - 1)
-        for y in range(k):
-            subsets = enumerate_subsets(k, containing=y)
-            probs = model.subset_probabilities(y, subsets[~subsets.all(axis=1)])
-            checked += probs.shape[0]
-            gap = float(np.abs(probs - expected).max())
+        sets, labels, members = _label_set_rows(k)
+        proper = ~sets[members].all(axis=1)
+        probs = model.subset_probabilities(labels, sets[members])
+        checked += int(proper.sum())
+        gaps = np.where(proper, np.abs(probs - expected), 0.0).reshape(k, -1).max(axis=1)
+        for y, gap in enumerate(gaps.tolist()):
             cases.append((gap, partial("K={}, y={}, target={!r}".format, k, y, expected)))
     return _report(cases, checked, "no subsets checked")
 

@@ -204,10 +204,14 @@ def save_partial_csv(dataset: Dataset, path: str) -> None:
             parts = [] if start else [(",".join(header) + "\r\n").encode()]
             text, widths = _format_fields(values[start : start + MAX_BLOCK_VALUES])
             text = memoryview(text)
-            # A record's features end after every d-th field; a record cut
-            # by the block's end is finished by the next block.
+            # Records start every d fields, the first maybe in the previous
+            # block; a record cut by the block's end is finished by the next.
+            firsts = np.arange(-(start % d), widths.size, d).clip(0)
+            ends = np.add.reduceat(widths, firsts).cumsum().tolist()
+            if (start + widths.size) % d:
+                ends.pop()
             pos = 0
-            for end in np.cumsum(widths)[d - 1 - start % d :: d].tolist():
+            for end in ends:
                 parts += (text[pos:end], next(tails))
                 pos = end
             parts.append(text[pos:])
@@ -276,15 +280,14 @@ def _read_frame(path: str, magic: bytes, version: int, what: str, read_header):
 
 
 def _record_tails(dataset: Dataset):
-    """Yield each record's ``candidates[,true_label]`` cells and line end."""
-    labels = dataset.true_labels
-    if labels is not None:
-        labels = labels.astype(np.int64).tolist()
-    for i, mask in enumerate(dataset.partial_masks):
-        tail = "|".join(map(str, np.flatnonzero(mask).tolist()))
-        if labels is not None:
-            tail += f",{labels[i]}"
-        yield (tail + "\r\n").encode()
+    """Yield each record's ``candidates[,true_label]`` cells and line end,
+    from the masks and labels of 256 records at a time as Python lists."""
+    masks, labels = dataset.partial_masks, dataset.true_labels
+    for start in range(0, len(masks), 256):
+        part = slice(start, start + 256)
+        ends = ["\r\n"] * 256 if labels is None else [f",{v}\r\n" for v in labels[part].tolist()]
+        for row, end in zip(masks[part].tolist(), ends):
+            yield ("|".join([str(z) for z, inside in enumerate(row) if inside]) + end).encode()
 
 
 # The feature formatter. A finite float64 x with 1e-6 <= |x| < 1e16 has a

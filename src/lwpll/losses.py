@@ -32,18 +32,18 @@ def _expit(x):
 
 
 def _logsumexp(a):
-    """log sum_k e^(a_k) of each row of a finite (n, K) array, as (n, 1).
+    """log sum_k e^(a_k) over the last axis of a finite (..., K) array, as (..., 1).
 
     The m entries tied at the row max are taken out of the sum: the result
     is log1p(s) + log(m) + max, where s is the sum of e^(a - max) over the
     other entries, divided by m.
     """
-    a_max = a.max(axis=1, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     tied = a == a_max
-    m = tied.sum(axis=1, keepdims=True, dtype=float)
+    m = tied.sum(axis=-1, keepdims=True, dtype=float)
     rest = np.exp(a - a_max)
     rest[tied] = 0.0
-    return np.log1p(rest.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
+    return np.log1p(rest.sum(axis=-1, keepdims=True) / m) + np.log(m) + a_max
 
 
 class UnsupportedLossError(ValueError):
@@ -152,23 +152,26 @@ class LWConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _per_row(cfg: LWConfig, n: int):
-    """(alpha, beta) for n rows: a float as given, an array as an (n, 1) column."""
+def _per_row(cfg: LWConfig, n: int, ndim: int = 2):
+    """(alpha, beta) for n rows: a float as given, an array as (n, 1) or (n, 1, 1)."""
     for name, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):
         if np.shape(value) not in ((), (n,)):
             raise ValueError(f"{name} has {len(value)} values for {n} rows")
-    return [v[:, None] if np.ndim(v) else v for v in (cfg.alpha, cfg.beta)]
+    column = (n,) + (1,) * (ndim - 1)
+    return [v.reshape(column) if np.ndim(v) else v for v in (cfg.alpha, cfg.beta)]
 
 
 def _as_batch(scores, candidates, weights):
-    """Validate and broadcast inputs to 2-D (n, K) arrays; return (g, m, w, squeeze)."""
+    """Validate (n, K) inputs, or (n, 1, K) scores and weights with (R, K)
+    candidates; a length-K instance is one row. Returns (g, m, w, squeeze)."""
     g = np.asarray(scores, dtype=float)
     m = np.asarray(candidates, dtype=bool)
     w = np.asarray(weights, dtype=float)
     squeeze = g.ndim == 1
     if squeeze:
         g, m, w = g[None, :], m[None, :], w[None, :]
-    if not (g.shape == m.shape == w.shape) or g.ndim != 2:
+    if not (g.shape == w.shape and m.ndim == 2 and g.shape[-1:] == m.shape[1:]
+            and g.shape[:-1] in ((len(m),), (len(g), 1))):
         raise ValueError(
             f"shape mismatch: scores {g.shape}, candidates {m.shape}, weights {w.shape}"
         )
@@ -187,7 +190,7 @@ def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
     (sigmoid's is a commutative product, ramp's reads |g|), so both sides of
     the gradient share one psi'(g). The step loss fails in `derivative`."""
     g, m, w, squeeze = _as_batch(scores, candidates, weights)
-    alpha, beta = _per_row(cfg, g.shape[0])
+    alpha, beta = _per_row(cfg, g.shape[0], g.ndim)
     grad = None
     if isinstance(cfg.psi, CrossEntropyMode):
         log_p = g - _logsumexp(g)
@@ -198,20 +201,23 @@ def _lw_rows(scores, candidates, weights, cfg: LWConfig, with_gradient: bool):
         if with_gradient:
             a = np.where(m, alpha * w, 0.0)
             b = np.where(m, 0.0, beta * w * p / rest)
-            grad = -a + b + p * (a - b).sum(axis=1, keepdims=True)
+            grad = -a + b + p * (a - b).sum(axis=-1, keepdims=True)
     else:
         pos = cfg.psi.value(g)
         neg = cfg.psi.value(-g)
         if with_gradient:
             slope = cfg.psi.derivative(g)
             grad = np.where(m, alpha * w * slope, -beta * w * slope)
-    losses = (np.where(m, alpha * pos, beta * neg) * w).sum(axis=1)
+    losses = (np.where(m, alpha * pos, beta * neg) * w).sum(axis=-1)
     return (losses[0], grad if grad is None else grad[0]) if squeeze else (losses, grad)
 
 
 def lw_loss_batch(scores, candidates, weights, cfg: LWConfig) -> np.ndarray:
     """Leveraged weighted loss of each row; arrays are (n, K). Returns (n,),
-    or one scalar for a length-K instance."""
+    or one scalar for a length-K instance. (n, 1, K) scores and weights with
+    (R, K) candidates give the (n, R) losses of n instances against R sets,
+    psi evaluated once per instance, bit for bit the 2-D call that repeats
+    each instance's row (and its beta and alpha) for every set."""
     return _lw_rows(scores, candidates, weights, cfg, with_gradient=False)[0]
 
 

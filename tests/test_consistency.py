@@ -1,6 +1,7 @@
 """Enumeration-based certification of the risk identities."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lwpll import (
     SIGMOID,
     ZERO_ONE_STEP,
     CheckNotApplicable,
+    ConsistencyReport,
     GenerationModel,
     LWConfig,
     certify_coefficient_ordering,
@@ -163,6 +165,33 @@ def test_lemma1_with_zero_rate():
     q = np.array([[1.0, 0.0, 0.6], [0.2, 1.0, 0.2], [0.3, 0.3, 1.0]])
     report = lemma1_check(GenerationModel(q), 0)
     assert report.max_discrepancy < 1e-15
+
+
+def test_lemma1_on_a_stack_gives_each_model_its_single_model_report():
+    rng = make_rng(223)
+    for k in (1, 2, 5, 8):
+        q = rng.random((6, k, k)) * 0.95
+        q[:, np.arange(k), np.arange(k)] = 1.0
+        for reject_full in (False, True)[: 1 + (k > 1)]:
+            for y in range(k):
+                reports = lemma1_check(GenerationModel(q, reject_full), y)
+                singles = [GenerationModel(q[i], reject_full) for i in range(6)]
+                assert reports == [lemma1_check(model, y) for model in singles]
+                sets = enumerate_subsets(k, containing=y)
+                for report, model in zip(reports, singles):
+                    total = math.fsum(model.subset_probabilities(y, sets).tolist())
+                    assert report == ConsistencyReport(
+                        abs(total - 1.0), 2 ** (k - 1), f"K={k}, y={y}, sum={total!r}")
+
+
+def test_a_label_outside_the_classes_is_refused():
+    stack = GenerationModel(np.broadcast_to(make_uniform(3, 0.5).q, (2, 3, 3)))
+    for y in (-1, 3):
+        for check in (partial(enumerate_subsets, 3, containing=y),
+                      partial(lemma1_check, make_uniform(3, 0.5), y),
+                      partial(lemma1_check, stack, y)):
+            with pytest.raises(ValueError, match=f"^label {y} out of range for K=3 classes"):
+                check()
 
 
 # theorem2_coefficient_check
@@ -607,14 +636,71 @@ def test_batched_certifier_equals_one_instance_at_a_time():
         assert (report.max_discrepancy, report.instances, report.worst_case) == expected
 
 
+def first_worst(cases, placeholder):
+    """The first (gap, description) with the largest gap, for finite gaps."""
+    worst = None
+    for gap, description in cases:
+        if worst is None or gap > worst[0]:
+            worst = (gap, description)
+    return worst or (0.0, placeholder)
+
+
+def reference_certify_subset_normalization(models, seed, k_values):
+    """The normalization check as it ran before stacking: one single-model
+    set-probability call per model."""
+    rng = make_rng(seed)
+    cases = []
+    for i in range(models):
+        k = k_values[i % len(k_values)]
+        q = rng.random((k, k)) * 0.98
+        np.fill_diagonal(q, 1.0)
+        y = int(rng.integers(k))
+        sets = enumerate_subsets(k, containing=y)
+        total = math.fsum(GenerationModel(q).subset_probabilities(y, sets).tolist())
+        cases.append((abs(total - 1.0), f"model {i}: K={k}, y={y}, sum={total!r}"))
+    gap, worst = first_worst(cases, "no models checked")
+    return gap, models, worst
+
+
+def reference_certify_uniform_recovery(k_values):
+    """The uniform-recovery check as it ran before stacking: one
+    set-probability call per (K, y)."""
+    cases, checked = [], 0
+    for k in k_values:
+        model = make_uniform(k, 0.5, reject_full=True)
+        expected = 1.0 / (2 ** (k - 1) - 1)
+        for y in range(k):
+            sets = enumerate_subsets(k, containing=y)
+            probs = model.subset_probabilities(y, sets[~sets.all(axis=1)])
+            checked += len(probs)
+            cases.append((float(np.abs(probs - expected).max()),
+                          f"K={k}, y={y}, target={expected!r}"))
+    gap, worst = first_worst(cases, "no subsets checked")
+    return gap, checked, worst
+
+
+def test_stacked_set_checks_equal_one_model_at_a_time():
+    for seed in (0, 7, 201):
+        for models, k_values in ((100, (2, 3, 4, 5, 6, 7, 8, 9, 10)), (30, (1,)),
+                                 (25, (3, 3, 9)), (4, (16, 2)), (0, (2,))):
+            report = certify_subset_normalization(models, seed, k_values)
+            expected = reference_certify_subset_normalization(models, seed, k_values)
+            assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+    for k_values in ((3, 4, 5, 6, 7, 8), (2,), (9, 4, 4), (10, 3), ()):
+        report = certify_uniform_recovery(k_values)
+        expected = reference_certify_uniform_recovery(k_values)
+        assert (report.max_discrepancy, report.instances, report.worst_case) == expected
+
+
 def spy_on_batches(monkeypatch):
-    """Record the rows of every loss and set-probability call of the certifier."""
+    """Record the (instances, sets, K) of every loss call and the shape of
+    every set-probability call of the certifier."""
     real_loss = lwpll.consistency.lw_loss_batch
     real_probs = GenerationModel.subset_probabilities
     calls = {"loss": [], "probs": []}
 
     def loss(scores, candidates, weights, cfg):
-        calls["loss"].append(np.shape(scores))
+        calls["loss"].append((len(scores), *np.shape(candidates)))
         return real_loss(scores, candidates, weights, cfg)
 
     def probs(self, y, subsets):
@@ -646,14 +732,13 @@ def test_certifier_batches_share_one_loss_per_nonempty_set(monkeypatch):
     certify_risk_equivalence(1000, 201)
     # 21 (K, psi) groups of 47 or 48 instances: one batch each for K <= 5;
     # the row cap holds 42, 18 and 8 instances of K = 6, 7 and 8, so those
-    # groups take 2, 3 and 6 batches; 2^K - 1 loss rows per instance
+    # groups take 2, 3 and 6 batches; each instance meets its 2^K - 1 sets
     batches = expected_batches(1000, (2, 3, 4, 5, 6, 7, 8))
     assert len(calls["loss"]) == len(calls["probs"]) == batches == 12 + 3 * (2 + 3 + 6)
-    per_instance = [rows // (2**k - 1) for rows, k in calls["loss"]]
-    assert [rows % (2**k - 1) for rows, k in calls["loss"]] == [0] * batches
-    assert sum(per_instance) == 1000
-    for (n, rows), (loss_rows, k) in zip(calls["probs"], calls["loss"]):
-        assert loss_rows == n * (2**k - 1)
+    assert [sets - (2**k - 1) for _, sets, k in calls["loss"]] == [0] * batches
+    assert sum(instances for instances, _, _ in calls["loss"]) == 1000
+    for (n, rows), (instances, _, k) in zip(calls["probs"], calls["loss"]):
+        assert instances == n
         assert rows == k * 2 ** (k - 1)
 
 
@@ -671,7 +756,7 @@ def test_certifier_batches_respect_the_row_cap(monkeypatch):
     calls["loss"].clear()
     calls["probs"].clear()
     certify_risk_equivalence(6, 0, (12,))
-    assert calls["loss"] == [(4095, 12)] * 6
+    assert calls["loss"] == [(1, 4095, 12)] * 6
     assert calls["probs"] == [(1, 12 * 2**11)] * 6
 
 

@@ -25,6 +25,7 @@ from lwpll import (
     lw_loss_gradient_batch,
     make_rng,
 )
+from lwpll.consistency import enumerate_subsets
 from lwpll.losses import BINARY_LOSSES, _expit, _logsumexp, get_loss
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -298,6 +299,48 @@ def test_per_row_leverage_needs_one_value_per_row():
                                         + np.eye(2)[[0, 0, 0]] / 2, cfg)
             with pytest.raises(ValueError, match=f"^{field} has {count} values for 1 rows"):
                 lw_loss_batch(g[0], mask[0], w[0], cfg)
+
+
+def test_instances_against_every_set_equal_the_repeated_rows_bytewise():
+    # (n, 1, K) scores and weights against (R, K) sets give the (n, R)
+    # losses, and the (n, R, K) gradient, of the 2-D call that repeats each
+    # instance's row, beta and alpha for every set; cross-entropy mode
+    # normalizes over the last axis, so it broadcasts too.
+    rng = make_rng(263)
+    for k in range(1, 11):
+        sets = enumerate_subsets(k)[1:]  # every nonempty set, the full one last
+        r = len(sets)
+        for psi in (SIGMOID, RAMP, ZERO_ONE_STEP, CROSS_ENTROPY):
+            n = int(rng.integers(1, 6))
+            g, _, w, beta, alpha = per_row_batch(rng, n, k)
+            g[rng.random((n, k)) < 0.2] = 0.0
+            g[rng.random((n, k)) < 0.2] = -0.0
+            w[rng.random((n, k)) < 0.2] = 0.0
+            cfg = LWConfig(beta=beta, alpha=alpha, psi=psi)
+            repeated = (np.repeat(g, r, axis=0), np.tile(sets, (n, 1)), np.repeat(w, r, axis=0),
+                        LWConfig(beta=np.repeat(beta, r), alpha=np.repeat(alpha, r), psi=psi))
+            losses = lw_loss_batch(g[:, None], sets, w[:, None], cfg)
+            assert losses.shape == (n, r)
+            assert losses.tobytes() == lw_loss_batch(*repeated).tobytes()
+            if psi is ZERO_ONE_STEP:
+                continue
+            both, grad = lw_loss_gradient_batch(g[:, None], sets, w[:, None], cfg)
+            want, want_grad = lw_loss_gradient_batch(*repeated)
+            assert grad.shape == (n, r, k)
+            assert both.tobytes() == want.tobytes() == losses.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_instances_against_sets_check_their_shapes():
+    g, w, sets = np.zeros((3, 1, 4)), np.ones((3, 1, 4)), np.ones((5, 4), dtype=bool)
+    cfg = LWConfig(beta=1.0)
+    assert lw_loss_batch(g, sets, w, cfg).shape == (3, 5)
+    for bad in ((g, sets[:, :3], w), (g, sets, w[:, 0]), (g[:, 0], sets, w[:, 0]),
+                (np.zeros((3, 2, 4)), sets, np.ones((3, 2, 4))), (g, sets[None], w)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            lw_loss_batch(*bad, cfg)
+    with pytest.raises(ValueError, match="^beta has 2 values for 3 rows"):
+        lw_loss_batch(g, sets, w, LWConfig(beta=np.ones(2)))
 
 
 # gradients
