@@ -445,6 +445,13 @@ def _environment() -> dict:
             "numpy_dispatch": dispatch, **pins, "cpu_count": os.cpu_count()}
 
 
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is set back."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
 @contextmanager
 def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
     """Yield (stage, publish): the one writer of <output.dir>/<fp>.
@@ -464,10 +471,7 @@ def _run_directory(cfg: ExperimentConfig, fp: str, command: str):
         missing = os.path.dirname(missing)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=f".{fp}.", dir=out_dir)
-    # mkdtemp makes the stage private (0700); give it the mode os.mkdir would.
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(stage, 0o777 & ~umask)
+    os.chmod(stage, 0o777 & ~_umask())  # mkdtemp's is 0700; give the stage os.mkdir's
 
     def publish(body: dict) -> None:
         manifest = {**body, "fingerprint": fp, "command": command, "config": cfg.values,
@@ -733,10 +737,19 @@ def cmd_eval(
     k = dataset.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (dataset.true_labels, preds), 1)
-    with open(confusion_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("true_label," + ",".join(f"pred_{j}" for j in range(k)) + "\n")
-        for y in range(k):
-            fh.write(f"{y}," + ",".join(str(c) for c in confusion[y]) + "\n")
+    # Renamed over the target once whole: a kill leaves the old file or the new one.
+    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(confusion_path)}.",
+                                dir=os.path.dirname(confusion_path) or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fd, 0o666 & ~_umask())  # mkstemp's is 0600; give it open()'s
+            fh.write("true_label," + ",".join(f"pred_{j}" for j in range(k)) + "\n")
+            for y in range(k):
+                fh.write(f"{y}," + ",".join(str(c) for c in confusion[y]) + "\n")
+        os.replace(temp, confusion_path)
+    except BaseException:
+        os.unlink(temp)
+        raise
     print(f"accuracy={acc!r} n={len(dataset)}")
     _say(quiet, f"confusion matrix: {confusion_path}")
     return 0

@@ -2,8 +2,10 @@
 
 Formats:
 
-- IDX image/label pairs (big-endian magics 0x00000803 / 0x00000801); pixel
-  bytes are scaled to [0, 1] and images flattened to rows * cols features.
+- IDX image/label pairs (big-endian magics 0x00000803 / 0x00000801, u32
+  dims); the file's size must be the one its dims imply, checked before the
+  body is read. Pixel bytes are scaled to [0, 1] and images flattened to
+  rows * cols features.
 - Partial-label CSV with header ``f0,...,f{d-1},candidates[,true_label]``
   (d >= 1), where the candidates cell holds zero-based class indices joined
   by ``|``. Fields are unquoted. Records end in ``\r\n``; ``\n`` is also
@@ -29,10 +31,10 @@ Formats:
   passes its checks, its arrays make a valid `Dataset` of n >= 1 rows with
   mask bytes 0 or 1, and the CSV hashes to the stamp. Otherwise the CSV is
   parsed as if there were no sidecar, so deleting one only costs load time.
-- Checkpoint (`model.save_checkpoint`): magic b"LWNN", version 2; header u32
-  layer count, then per layer u32 out and u32 in; payload one u8 activation
-  code per layer, then each layer's weights (float64, out x in) and biases.
-  Version 1 had no digest and is rejected with its version named.
+- Checkpoint (`model.save_checkpoint`): magic b"LWNN", version 3; header u32
+  layer count, u32 input width, then each layer's u32 output width; payload
+  each layer's weights (float64, out x in) and biases. ReLU follows every
+  layer but the last. Versions 1 and 2 are rejected with their version named.
 
 Class indices are zero-based everywhere, in files and in memory.
 """
@@ -67,9 +69,9 @@ _SIDECAR_HEAD = struct.Struct("<QQQB32s")
 class Dataset:
     """Feature matrix with optional true labels and candidate-set masks.
 
-    Every instance's true label, when present alongside masks, must sit
-    inside its candidate set; that containment is the defining contract of
-    the data model and is enforced at construction.
+    True labels are integers. Every instance's true label, when present
+    alongside masks, must sit inside its candidate set; that containment is
+    the defining contract of the data model and is enforced at construction.
     """
 
     features: np.ndarray
@@ -87,6 +89,8 @@ class Dataset:
             raise ValueError("need at least 2 classes")
         if self.true_labels is not None:
             y = self.true_labels
+            if y.dtype.kind not in "iu":
+                raise ValueError(f"true_labels must be integers, got {y.dtype}")
             if y.shape != (x.shape[0],):
                 raise ValueError(f"true_labels shape {y.shape} does not match n")
             if ((y < 0) | (y >= self.num_classes)).any():
@@ -149,19 +153,19 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
 
 
 def _read_idx(path: str, magic: int, header_dims: int) -> tuple[np.ndarray, tuple]:
+    head_size = 4 * (1 + header_dims)
     with open(path, "rb") as fh:
-        head = fh.read(4 * (1 + header_dims))
-        if len(head) < 4 * (1 + header_dims):
+        head = fh.read(head_size)
+        if len(head) < head_size:
             raise ValueError(f"{path}: truncated IDX header")
-        got = struct.unpack(">i", head[:4])[0]
+        got, *dims = struct.unpack(f">{1 + header_dims}I", head)
         if got != magic:
             raise ValueError(f"{path}: bad IDX magic {got:#010x}, want {magic:#010x}")
-        dims = struct.unpack(f">{header_dims}i", head[4:])
-        body = fh.read()
-    expected = int(np.prod(dims))
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8), dims
+        expected, size = math.prod(dims), os.fstat(fh.fileno()).st_size - head_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} payload bytes, got {size}")
+        body = fh.read(expected)
+    return np.frombuffer(body, dtype=np.uint8), tuple(dims)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:

@@ -150,12 +150,11 @@ def make_uniform(num_classes: int, q: float, reject_full: bool = False) -> Gener
 
 
 def _circulant(num_classes: int, offset_probs: dict[int, float]) -> np.ndarray:
-    """q matrix where class (y + d) mod K enters with probability offset_probs[d]."""
+    """q matrix where class (y + d) mod K enters with probability offset_probs[d].
+    Each d must be nonzero mod K, as `make_case`'s K > 2|d| makes it."""
     mat = np.zeros((num_classes, num_classes), dtype=float)
     np.fill_diagonal(mat, 1.0)
     for d, p in offset_probs.items():
-        if d % num_classes == 0:
-            raise ValueError("offsets must not alias the diagonal")
         for y in range(num_classes):
             mat[y, (y + d) % num_classes] = p
     return mat

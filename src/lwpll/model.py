@@ -27,11 +27,8 @@ from .rng import make_rng
 from .weights import init_weights, update_weights
 
 _CHECKPOINT_MAGIC = b"LWNN"
-_CHECKPOINT_VERSION = 2
-_LAYER_COUNT = struct.Struct("<I")
-_LAYER_ENTRY = struct.Struct("<II")  # out, in
-_ACTIVATION_CODES = {"identity": 0, "relu": 1}
-_ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
+_CHECKPOINT_VERSION = 3
+_U32 = struct.Struct("<I")
 
 # Stream ids carved out of the trainer seed.
 _STREAM_SHUFFLE = 0
@@ -60,19 +57,15 @@ def _finite(values, epoch: int, batch: int, lr: float):
 
 @dataclass
 class Layer:
-    """One affine map with an elementwise activation ('identity' or 'relu')."""
+    """One affine map x -> x @ W.T + b. A network applies ReLU after every
+    layer but its last, so the position of a layer fixes its activation."""
 
     W: np.ndarray
     b: np.ndarray
-    activation: str
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATION_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ValueError(
-                f"layer shape mismatch: W {self.W.shape}, b {self.b.shape}"
-            )
+            raise ValueError(f"layer shape mismatch: W {self.W.shape}, b {self.b.shape}")
 
 
 @dataclass
@@ -93,15 +86,9 @@ def init_network(widths: list[int], rng: np.random.Generator) -> NetworkParams:
     layers = []
     last = len(widths) - 2
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        act = "identity" if i == last else "relu"
-        scale = np.sqrt((1.0 if act == "identity" else 2.0) / fan_in)
-        layers.append(
-            Layer(
-                W=scale * rng.standard_normal((fan_out, fan_in)),
-                b=np.zeros(fan_out),
-                activation=act,
-            )
-        )
+        scale = np.sqrt((1.0 if i == last else 2.0) / fan_in)
+        layers.append(Layer(W=scale * rng.standard_normal((fan_out, fan_in)),
+                            b=np.zeros(fan_out)))
     return NetworkParams(layers)
 
 
@@ -130,9 +117,10 @@ def _feature_batch(params: NetworkParams, features) -> tuple[np.ndarray, bool]:
 def _forward_cached(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
     """Activations a_0..a_L of a batch: a_0 = x, a_L the scores."""
     acts = [x]
-    for layer in params.layers:
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
         z = acts[-1] @ layer.W.T + layer.b
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+        acts.append(z if i == last else np.maximum(z, 0.0))
     return acts
 
 
@@ -141,12 +129,9 @@ def _backprop(params: NetworkParams, acts: list[np.ndarray], delta: np.ndarray):
     scores. A ReLU layer masks with a_{i+1} > 0, which is z > 0 bit for bit."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
-        if layer.activation == "relu":
-            delta = np.where(acts[i + 1] > 0.0, delta, 0.0)
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-        if i > 0:
-            delta = delta @ layer.W
+        if i > 0:  # layer i - 1 is a ReLU layer
+            delta = np.where(acts[i] > 0.0, delta @ params.layers[i].W, 0.0)
     return grads
 
 
@@ -359,44 +344,40 @@ def train(
 
 
 def save_checkpoint(params: NetworkParams, path: str) -> None:
-    """Write the network as a checkpoint (see `lwpll.data`'s "Formats")."""
-    header = _LAYER_COUNT.pack(len(params.layers)) + b"".join(
-        _LAYER_ENTRY.pack(*l.W.shape) for l in params.layers)
-    codes = np.array([_ACTIVATION_CODES[l.activation] for l in params.layers], dtype="u1")
-    arrays = [np.ascontiguousarray(a, dtype="<f8") for l in params.layers for a in (l.W, l.b)]
-    _write_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, header, [codes, *arrays])
+    """Write the network as a checkpoint (see `lwpll.data`'s "Formats"), or
+    raise ValueError for layers whose shapes do not chain, which it cannot hold."""
+    layers = params.layers
+    for i, (prev, layer) in enumerate(zip(layers, layers[1:]), start=1):
+        if layer.W.shape[1] != prev.W.shape[0]:
+            raise ValueError(f"layer {i} takes {layer.W.shape[1]} inputs but layer {i - 1} "
+                             f"gives {prev.W.shape[0]}")
+    widths = params.widths if layers else [0]  # no layers: loading refuses it first
+    header = struct.pack(f"<{len(widths) + 1}I", len(layers), *widths)
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for l in layers for a in (l.W, l.b)]
+    _write_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, header, arrays)
 
 
 def load_checkpoint(path: str) -> NetworkParams:
     """Inverse of `save_checkpoint`. Besides the frame's checks, rejects a network
-    that cannot score: no layers, a width of 0, an input width that is not the
-    previous layer's output, 1 output, an unknown activation code, or a
-    non-finite weight or bias."""
+    that cannot score: no layers, a width of 0, 1 output, or a non-finite weight
+    or bias."""
 
     def layer_table(take):
-        (count,) = take(_LAYER_COUNT)
+        (count,) = take(_U32)
         if count == 0:
             raise ValueError(f"{path}: checkpoint has no layers")
-        shapes = []
-        for i in range(count):
-            out_w, in_w = take(_LAYER_ENTRY)
+        widths = [take(_U32)[0] for _ in range(count + 1)]  # the input's, then each output's
+        shapes = list(zip(widths[1:], widths))  # each layer's W: (out, in)
+        for i, (out_w, in_w) in enumerate(shapes):
             if out_w == 0 or in_w == 0:
                 raise ValueError(f"{path}: layer {i} has width 0 ({out_w}x{in_w})")
-            if shapes and in_w != shapes[-1][0]:
-                raise ValueError(f"{path}: layer {i} takes {in_w} inputs but layer {i - 1} "
-                                 f"gives {shapes[-1][0]}")
-            shapes += [(out_w, in_w), (out_w,)]  # W's, then b's: shapes[-1][0] is out_w
-        if shapes[-1] == (1,):
+        if widths[-1] == 1:
             raise ValueError(f"{path}: last layer has 1 output; a classifier needs at least 2")
-        return None, [((count,), "u1")] + [(shape, "<f8") for shape in shapes]
+        return None, [(s, "<f8") for shape in shapes for s in (shape, shape[:1])]  # W, b
 
-    _, (codes, *arrays) = _read_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
-                                      "checkpoint", layer_table)
-    activations = [_ACTIVATION_NAMES.get(code) for code in codes.tolist()]
-    if None in activations:
-        raise ValueError(f"{path}: unknown activation code {codes[activations.index(None)]}")
+    _, arrays = _read_frame(path, _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, "checkpoint",
+                            layer_table)
     for i, array in enumerate(arrays):  # each layer's W, then its b
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: layer {i // 2} has non-finite parameters")
-    return NetworkParams([Layer(W=W, b=b, activation=act)
-                          for W, b, act in zip(arrays[::2], arrays[1::2], activations)])
+    return NetworkParams([Layer(W=W, b=b) for W, b in zip(arrays[::2], arrays[1::2])])

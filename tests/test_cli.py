@@ -1,5 +1,6 @@
 """Experiment harness: configs, fingerprints, and the five subcommands."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -469,8 +470,7 @@ def test_eval_confusion_rows_are_true_labels(tmp_path, capsys):
     # An identity layer predicts each row's largest feature. This confusion
     # matrix differs from its transpose, so it pins rows as true labels.
     checkpoint = tmp_path / "identity.bin"
-    save_checkpoint(NetworkParams([Layer(W=np.eye(3), b=np.zeros(3),
-                                         activation="identity")]), checkpoint)
+    save_checkpoint(NetworkParams([Layer(W=np.eye(3), b=np.zeros(3))]), checkpoint)
     onehot = ["1,0,0", "0,1,0", "0,0,1"]
     pairs = [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 2), (2, 2)]  # (true, predicted)
     csv_path = tmp_path / "labeled.csv"
@@ -483,6 +483,33 @@ def test_eval_confusion_rows_are_true_labels(tmp_path, capsys):
     assert confusion.read_text() == (
         "true_label,pred_0,pred_1,pred_2\n0,1,2,0\n1,0,0,1\n2,0,0,3\n"
     )
+
+
+def test_eval_replaces_the_confusion_file_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    checkpoint = tmp_path / "identity.bin"
+    save_checkpoint(NetworkParams([Layer(W=np.eye(2), b=np.zeros(2))]), checkpoint)
+    csv_path = tmp_path / "labeled.csv"
+    csv_path.write_text("f0,f1,candidates,true_label\n1,0,0,0\n0,1,1,1\n")
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("the old matrix\n")
+    argv = ["eval", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+            "--confusion", str(confusion), "--quiet"]
+
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot rename ")
+    assert confusion.read_text() == "the old matrix\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "confusion.csv", "identity.bin", "labeled.csv"]
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert confusion.read_text() == "true_label,pred_0,pred_1\n0,1,0\n1,0,1\n"
+    assert stat.S_IMODE(confusion.stat().st_mode) == stat.S_IMODE(csv_path.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "confusion.csv", "identity.bin", "labeled.csv"]
 
 
 def test_eval_architecture_mismatch(tmp_path):
@@ -562,14 +589,13 @@ def test_eval_rejects_malformed_inputs_with_exit_2(tmp_path, capsys):
 
 def test_eval_rejects_a_checkpoint_that_cannot_score_with_exit_2(tmp_path, capsys):
     def layer(out_w, in_w, fill=0.5):
-        return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w), activation="identity")
+        return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w))
 
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("f0,f1,candidates,true_label\n1.0,2.0,0,0\n")
     broken = {
         "zero_layers": [],
         "zero_width": [layer(3, 0)],
-        "mismatch": [layer(4, 2), layer(3, 5)],
         "one_output": [layer(4, 2), layer(1, 4)],
         "all_nan": [layer(4, 2, fill=np.nan), layer(3, 4, fill=np.nan)],
     }
@@ -595,8 +621,8 @@ def test_eval_rejects_a_checkpoint_with_any_byte_flipped_with_exit_2(tmp_path, c
     save_checkpoint(params, path)
     blob = path.read_bytes()
     assert main(argv) == 0
-    # Every byte of the header, the layer table, the payload digest and the
-    # payload; ^ 0x01 keeps an activation code valid, ^ 0xFF does not.
+    # Every byte of the magic, the version, the widths, the payload digest and
+    # the payload, each flipped with ^ 0x01 and with ^ 0xFF.
     for at, flip in itertools.product(range(len(blob)), (0x01, 0xFF)):
         path.write_bytes(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1 :])
         capsys.readouterr()
@@ -606,13 +632,24 @@ def test_eval_rejects_a_checkpoint_with_any_byte_flipped_with_exit_2(tmp_path, c
         assert captured.out == "" and len(lines) == 1, (at, flip, captured)
         assert lines[0].startswith(f"error: {path}: "), (at, flip, lines)
     # The same network as a version-1 file: each layer's out, in and activation
-    # code (0 identity, 1 relu), then the weights, with no payload digest.
-    table = [struct.pack("<IIB", *l.W.shape, l.activation == "relu") for l in params.layers]
-    path.write_bytes(b"LWNN" + struct.pack("<II", 1, len(table)) + b"".join(table)
-                     + b"".join(a.tobytes() for l in params.layers for a in (l.W, l.b)))
+    # code (1 relu on all but the last layer, 0 identity), then the weights,
+    # with no payload digest.
+    relu = [i < len(params.layers) - 1 for i in range(len(params.layers))]
+    weights = b"".join(a.tobytes() for l in params.layers for a in (l.W, l.b))
+    table = [struct.pack("<IIB", *l.W.shape, code) for l, code in zip(params.layers, relu)]
+    path.write_bytes(b"LWNN" + struct.pack("<II", 1, len(table)) + b"".join(table) + weights)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 1\n"
+    # As a version-2 file: each layer's out and in, the payload digest, then
+    # the activation codes and the weights.
+    payload = bytes(relu) + weights
+    path.write_bytes(b"LWNN" + struct.pack("<II", 2, len(table))
+                     + b"".join(struct.pack("<II", *l.W.shape) for l in params.layers)
+                     + hashlib.sha256(payload).digest() + payload)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 2\n"
 
 
 def test_missing_or_unlabeled_test_set_fails_before_training(tmp_path):
@@ -721,8 +758,8 @@ def test_test_rows_that_cannot_be_scored_fail_train_sweep_and_eval(tmp_path, cap
     # Scores of inf - inf are NaN, which argmax would count as class 0.
     nan_csv = tmp_path / "nan.csv"
     nan_csv.write_text("f0,f1,candidates,true_label\n1,1,0,0\n1e308,1e308,0,0\n")
-    sums = Layer(W=np.ones((2, 2)), b=np.zeros(2), activation="relu")
-    diff = Layer(W=np.array([[1.0, -1.0], [0.0, 0.0]]), b=np.zeros(2), activation="identity")
+    sums = Layer(W=np.ones((2, 2)), b=np.zeros(2))
+    diff = Layer(W=np.array([[1.0, -1.0], [0.0, 0.0]]), b=np.zeros(2))
     save_checkpoint(NetworkParams([sums, diff]), tmp_path / "nan.bin")
     assert main(["eval", "--checkpoint", str(tmp_path / "nan.bin"), "--csv", str(nan_csv),
                  "--confusion", str(confusion), "--quiet"]) == 2

@@ -76,6 +76,17 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("labels", [[0.0, 2.5], [0.0, 2.0], [True, False]],
+                         ids=["fractional", "whole_floats", "bool"])
+def test_dataset_rejects_labels_that_are_not_integers(labels):
+    labels = np.array(labels)
+    for masks in (None, np.ones((2, 3), dtype=bool)):
+        with pytest.raises(ValueError) as info:
+            Dataset(features=np.zeros((2, 4)), num_classes=3, true_labels=labels,
+                    partial_masks=masks)
+        assert str(info.value) == f"true_labels must be integers, got {labels.dtype}"
+
+
 def test_take_and_with_candidates():
     rng = make_rng(301)
     ds = random_dataset(rng)
@@ -120,6 +131,30 @@ def test_load_idx_truncated(tmp_path):
     clipped.write_bytes(Path(img).read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_idx(str(clipped), lab)
+
+
+def test_load_idx_reads_dims_unsigned_and_checks_the_size_before_reading(tmp_path):
+    _, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1])
+    # A dim of 0xFFFFFFFF is 4294967295, not -1.
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(struct.pack(">IIII", 0x803, 2, 0xFFFFFFFF, 1) + bytes(8))
+    with pytest.raises(ValueError) as info:
+        load_idx(str(huge), lab)
+    assert str(info.value) == f"{huge}: expected 8589934590 payload bytes, got 8"
+    # A 16 MB body behind a header that implies 2 bytes is never read in.
+    long = tmp_path / "long.idx"
+    with open(long, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x803, 2, 1, 1))
+        fh.truncate(16 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_idx(str(long), lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{long}: expected 2 payload bytes, got {(16 << 20) - 16}"
+    assert peak < 64 << 10
 
 
 def test_load_idx_count_mismatch(tmp_path):

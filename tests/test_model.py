@@ -55,12 +55,12 @@ def toy_dataset(n=60, k=3, seed=0, q=0.3):
 
 
 def test_forward_zero_params():
-    params = NetworkParams([Layer(W=np.zeros((3, 4)), b=np.zeros(3), activation="identity")])
+    params = NetworkParams([Layer(W=np.zeros((3, 4)), b=np.zeros(3))])
     assert np.array_equal(forward(params, np.ones(4)), np.zeros(3))
 
 
 def test_forward_identity_layer():
-    params = NetworkParams([Layer(W=np.eye(3), b=np.zeros(3), activation="identity")])
+    params = NetworkParams([Layer(W=np.eye(3), b=np.zeros(3))])
     x = np.array([0.3, -1.2, 4.0])
     assert np.array_equal(forward(params, x), x)
 
@@ -70,9 +70,7 @@ def test_forward_two_layer_hand_product():
     b1 = np.array([0.5, 0.0])
     w2 = np.array([[1.0, 1.0], [2.0, 0.0]])
     b2 = np.array([0.0, -1.0])
-    params = NetworkParams(
-        [Layer(W=w1, b=b1, activation="relu"), Layer(W=w2, b=b2, activation="identity")]
-    )
+    params = NetworkParams([Layer(W=w1, b=b1), Layer(W=w2, b=b2)])
     x = np.array([1.0, 1.0])
     h = np.maximum(w1 @ x + b1, 0.0)
     expected = w2 @ h + b2
@@ -82,7 +80,7 @@ def test_forward_two_layer_hand_product():
 
 
 def test_forward_rejects_width_mismatch():
-    params = NetworkParams([Layer(W=np.zeros((2, 3)), b=np.zeros(2), activation="identity")])
+    params = NetworkParams([Layer(W=np.zeros((2, 3)), b=np.zeros(2))])
     with pytest.raises(ValueError):
         forward(params, np.zeros(4))
 
@@ -97,7 +95,7 @@ def test_backward_zero_upstream():
 
 
 def test_backward_linear_outer_product():
-    params = NetworkParams([Layer(W=np.zeros((2, 3)), b=np.zeros(2), activation="identity")])
+    params = NetworkParams([Layer(W=np.zeros((2, 3)), b=np.zeros(2))])
     x = np.array([[1.0, -2.0, 0.5]])
     up = np.array([[0.3, -0.7]])
     (gw, gb), = backward(params, x, up)
@@ -162,7 +160,7 @@ def test_backward_rejects_upstream_that_does_not_match_the_scores():
 
 
 def test_predict_argmax_and_ties():
-    params = NetworkParams([Layer(W=np.eye(3), b=np.zeros(3), activation="identity")])
+    params = NetworkParams([Layer(W=np.eye(3), b=np.zeros(3))])
     assert predict(params, np.array([0.1, 0.9, 0.3]))[0] == 1
     assert predict(params, np.array([0.5, 0.5, 0.1]))[0] == 0
 
@@ -170,7 +168,7 @@ def test_predict_argmax_and_ties():
 def test_predict_and_accuracy_reject_rows_whose_scores_are_not_finite():
     # Row 2 overflows to inf, row 3 is NaN; argmax would count both.
     params = NetworkParams([Layer(W=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]),
-                                  b=np.zeros(3), activation="identity")])
+                                  b=np.zeros(3))])
     features = np.array([[1.0, 2.0], [1e308, -1e308], [np.nan, 0.0]])
     for rows, first in ((features, 2), (features[[0, 2]], 2), (features[2], 1)):
         with warnings.catch_warnings():
@@ -447,7 +445,6 @@ def test_checkpoint_round_trip(tmp_path):
     for got, exp in zip(loaded.layers, params.layers):
         assert np.array_equal(got.W, exp.W)
         assert np.array_equal(got.b, exp.b)
-        assert got.activation == exp.activation
 
 
 # Edge values on top of hypothesis's own finite float draws: signed zeros,
@@ -465,14 +462,12 @@ def networks(draw):
     # Two classes at least: loading rejects a one-output network.
     widths = network_widths(arch, draw(st.integers(1, 6)), draw(st.integers(2, 5)),
                             hidden=draw(st.integers(1, 5)))
-    last = len(widths) - 2
     return NetworkParams([
         Layer(
             W=draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=CHECKPOINT_FLOATS)),
             b=draw(hnp.arrays(np.float64, fan_out, elements=CHECKPOINT_FLOATS)),
-            activation="identity" if i == last else "relu",
         )
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:]))
+        for fan_in, fan_out in zip(widths[:-1], widths[1:])
     ])
 
 
@@ -483,7 +478,6 @@ def test_checkpoint_round_trip_is_bit_exact(params):
         path = f"{tmp}/net.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
-    assert [l.activation for l in loaded.layers] == [l.activation for l in params.layers]
     for got, exp in zip(loaded.layers, params.layers, strict=True):
         assert got.W.shape == exp.W.shape and got.b.shape == exp.b.shape
         assert got.W.tobytes() == exp.W.tobytes()
@@ -518,7 +512,7 @@ def test_checkpoint_rejects_truncated_header_and_layer_table(tmp_path):
     blob_path = tmp_path / "net.bin"
     save_checkpoint(init_network([3, 4, 2], rng), blob_path)
     blob = blob_path.read_bytes()
-    # Cut inside the 12-byte header, the 8-byte layer records, then the digest.
+    # Cut inside the version, the layer count, the widths, then the digest.
     for cut in (5, 11, 12, 15, 20, 29):
         path = tmp_path / f"cut{cut}.bin"
         path.write_bytes(blob[:cut])
@@ -548,7 +542,7 @@ def test_checkpoint_load_rejects_a_large_other_file_before_reading_it(tmp_path):
 
 
 def linear_layer(out_w, in_w, fill=0.5):
-    return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w), activation="identity")
+    return Layer(W=np.full((out_w, in_w), fill), b=np.zeros(out_w))
 
 
 def test_checkpoint_rejects_zero_layers(tmp_path):
@@ -569,11 +563,13 @@ def test_checkpoint_rejects_a_layer_of_width_zero(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_layer_widths(tmp_path):
+    # A checkpoint stores one width between two layers, so it cannot hold
+    # layers that do not chain: saving them fails and writes no file.
     path = tmp_path / "mismatch.bin"
-    save_checkpoint(NetworkParams([linear_layer(4, 3), linear_layer(2, 5)]), path)
     with pytest.raises(ValueError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: layer 1 takes 5 inputs but layer 0 gives 4"
+        save_checkpoint(NetworkParams([linear_layer(4, 3), linear_layer(2, 5)]), path)
+    assert str(info.value) == "layer 1 takes 5 inputs but layer 0 gives 4"
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_a_network_with_one_output(tmp_path):
@@ -691,17 +687,19 @@ def test_train_makes_one_loss_call_per_batch(monkeypatch, per_batch):
 
 
 def pre_activation_backward(params, x, upstream):
-    """The backward pass as it was when it kept z_1..z_L and masked ReLU with z > 0."""
+    """The backward pass as it was when it kept z_1..z_L and masked ReLU with z > 0.
+    Every layer but the last is a ReLU layer."""
+    last = len(params.layers) - 1
     acts, pres = [x], []
-    for layer in params.layers:
+    for i, layer in enumerate(params.layers):
         z = acts[-1] @ layer.W.T + layer.b
         pres.append(z)
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+        acts.append(z if i == last else np.maximum(z, 0.0))
     grads = [None] * len(params.layers)
     delta = upstream
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        if layer.activation == "relu":
+        if i != last:
             delta = np.where(pres[i] > 0.0, delta, 0.0)
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
